@@ -61,11 +61,17 @@
 //! anchor's tower top-down under the marked-pointer protocol, publish the
 //! replacement block(s) through the forward word (first CAS wins; losers
 //! discard their candidates unpublished), and install the winner by
-//! swinging the predecessor's level-0 reference. The migration is
-//! invisible to readers: a key present in the frozen block is present in
-//! its replacement, and point operations never read a frozen snapshot —
-//! they help first and retry, so the lookup always lands on the live
-//! incarnation. The install bumps the dead anchor's generation (directly,
+//! swinging the predecessor's level-0 reference. The predecessor is found
+//! by descent: the walk starts at the level-0 predecessor of a search for
+//! the anchor's key (live when observed, smaller key, so it precedes the
+//! anchor while the anchor is linked), concludes "already installed" only
+//! from a live predecessor, and descends again on every retry; the
+//! upper-level unlink starts each level from the same descent.
+//!
+//! The migration is invisible to readers: a key present in the frozen
+//! block is present in its replacement, and point operations never read
+//! a frozen snapshot — they help first and retry, so the lookup always
+//! lands on the live incarnation. The install bumps the dead anchor's generation (directly,
 //! or through retirement when reclamation is on), so cached
 //! [`NodeRef`]-based block hints fail validation instead of resurrecting
 //! a migrated block.
@@ -85,18 +91,20 @@
 //!   entry serves point ops for every key its block covers, validated
 //!   gen → unmarked → covering on use, evicted on observed split/merge.
 //! * [`BlockedHandle::run_sorted`] executes a key-sorted combiner run
-//!   **grouped by target anchor**: each group resolves its block once
-//!   (directly or by a short level-0 walk from the previous group's
-//!   anchor — the anchor-granular hint chain) and applies its ops
-//!   in-block.
+//!   **grouped by target anchor**: each group resolves its block once —
+//!   by a level-0 walk forward from the nearest live anchor at or below
+//!   its key, the previous group's anchor (the anchor-granular hint
+//!   chain) or the anchor cache's, whichever is closer — and applies its
+//!   ops in-block.
 //! * [`BlockedSkipMap::bulk_apply`] turns long fresh ascending insert
 //!   runs into whole pre-filled blocks, published as one chain through
 //!   the forward word ([`BlockPolicy::fill_target`] entries each) instead
-//!   of insert-then-split churn.
+//!   of insert-then-split churn. The continuation hint is the chain's
+//!   second-to-last block, which the next tail append does not freeze.
 //! * [`BlockPolicy`] sweeps the split point (half vs leave-behind), the
 //!   tombstone-clog merge threshold, and the bulk fill target.
 
-use super::{NodePtr, NodeRef, PinGuard, SkipGraph};
+use super::{NodePtr, NodeRef, PinGuard, SearchResult, SkipGraph};
 use crate::adapt::{AdaptConfig, Hysteresis};
 use crate::batch::BatchOp;
 use crate::local::{BTreeLocalMap, LocalMap};
@@ -333,7 +341,32 @@ pub struct BlockedSkipMap<K, V> {
     /// `n`-th anchor gets height `trailing_zeros(n)` (capped), i.e. the
     /// geometric distribution without per-thread RNG state.
     anchor_seq: FacadeAtomicUsize,
+    /// Freeze/install accounting (see [`BlockedSkipMap::install_counts`]).
+    tally: InstallTally,
     _values: PhantomData<V>,
+}
+
+/// Split-protocol telemetry: relaxed `std` atomics, never synchronization,
+/// so deterministic schedules see no new yield points.
+#[derive(Default)]
+struct InstallTally {
+    freezes: AtomicU64,
+    installs: AtomicU64,
+    redescents: AtomicU64,
+}
+
+/// Counts of the split protocol's decisive steps (see
+/// [`BlockedSkipMap::install_counts`]). Every frozen block must be
+/// installed exactly once, so at quiescence `freezes == installs`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InstallCounts {
+    /// Blocks frozen (each freeze CAS succeeds once per block).
+    pub freezes: u64,
+    /// Install CASes won: one per replaced or unlinked frozen block.
+    pub installs: u64,
+    /// Install walks that met the anchor behind a dying predecessor,
+    /// helped it, and descended again.
+    pub redescents: u64,
 }
 
 /// Sensor + controller for the ascending-stream split knob: a windowed
@@ -424,6 +457,7 @@ where
             policy,
             asc,
             anchor_seq: FacadeAtomicUsize::new(1),
+            tally: InstallTally::default(),
             _values: PhantomData,
         }
     }
@@ -472,6 +506,28 @@ where
             }
         }
         self.policy.split_point(len)
+    }
+
+    /// Freeze/install counts since construction.
+    pub fn install_counts(&self) -> InstallCounts {
+        InstallCounts {
+            freezes: self.tally.freezes.load(Relaxed),
+            installs: self.tally.installs.load(Relaxed),
+            redescents: self.tally.redescents.load(Relaxed),
+        }
+    }
+
+    /// Whether the install walk may swing a dying predecessor's frozen
+    /// reference. Never in a correct build. Injected bug (`--features
+    /// bug-injection`, sparse-tower maps only, so the registry's blocked
+    /// stress lanes keep exactly one live fault each): trust the walk's
+    /// predecessor even after it died, landing the install on its frozen
+    /// reference instead of helping it and descending again — the block
+    /// then stays linked behind the dead predecessor's replacement and a
+    /// second helper installs it again.
+    #[inline]
+    fn trusts_dying_pred(&self) -> bool {
+        cfg!(feature = "bug-injection") && self.graph.config().sparse
     }
 
     /// The blocking factor the map was built with.
@@ -555,35 +611,35 @@ where
     }
 
     /// The block responsible for `key`, found by walking the raw level-0
-    /// chain *forward* from `start` — a known anchor with key `<= key` —
+    /// chain *forward* from `start` — a live anchor with key `<= key` —
     /// instead of descending from the head. This is the anchor-granular
-    /// hint chain: a sorted run resolves its first anchor once and each
-    /// later group pays only the hops between consecutive blocks. Marked
+    /// hint chain: a sorted run starts each group from the nearest live
+    /// anchor it knows and pays only the hops between blocks. Marked
     /// anchors are candidates like in [`Self::covering_anchor`] (a frozen
-    /// block still owns its keys until replaced). Returns the number of
-    /// anchors hopped alongside the result; `None` only if `start` no
-    /// longer reaches a covering anchor (caller falls back to a descent).
+    /// block still owns its keys until replaced). Returns the covering
+    /// anchor (`start` itself at worst) and the number of anchors hopped
+    /// past `start`.
     fn covering_anchor_from(
         &self,
         start: NonNull<BNode<K>>,
         key: &K,
         ctx: &ThreadCtx,
-    ) -> (Option<NonNull<BNode<K>>>, u64) {
+    ) -> (NonNull<BNode<K>>, u64) {
         debug_assert!(unsafe { start.as_ref() }.cmp_key(key) != CmpOrdering::Greater);
-        let mut best: Option<NonNull<BNode<K>>> = None;
+        let mut best = start;
         let mut hops = 0u64;
         let mut cur = start.as_ptr();
         loop {
-            let node = unsafe { &*cur };
+            let next = unsafe { &*cur }.load_next(0, ctx).ptr();
+            if next.is_null() {
+                break;
+            }
+            let node = unsafe { &*next };
             if node.is_tail() || node.cmp_key(key) == CmpOrdering::Greater {
                 break;
             }
             if node.is_data() {
-                best = Some(unsafe { NonNull::new_unchecked(cur) });
-            }
-            let next = node.load_next(0, ctx).ptr();
-            if next.is_null() {
-                break;
+                best = unsafe { NonNull::new_unchecked(next) };
             }
             hops += 1;
             cur = next;
@@ -730,6 +786,7 @@ where
                 if free == 0 {
                     match blk.control().compare_exchange(w, w | FROZEN) {
                         Ok(_) => {
+                            self.tally.freezes.fetch_add(1, Relaxed);
                             self.help_split(anchor, ctx);
                             break usize::MAX;
                         }
@@ -847,6 +904,7 @@ where
                             // Losing this CAS means a writer claimed a slot
                             // (or froze it first) — either way, not ours.
                             if blk.control().compare_exchange(now, now | FROZEN).is_ok() {
+                                self.tally.freezes.fetch_add(1, Relaxed);
                                 self.help_split(anchor, ctx);
                             }
                         }
@@ -1138,18 +1196,32 @@ where
         // frozen anchor to the replacement chain (or straight to the
         // successor for a merge). Exactly one CAS succeeds; that winner
         // owns the post-install duties.
+        //
+        // The walk starts at a fresh descent's level-0 predecessor: it was
+        // live when the descent stepped on it and its key is below the
+        // anchor's, so it precedes the anchor for as long as the anchor is
+        // linked. Every retry descends again — a retry that reused a start
+        // which has since died would meet the same dying reference forever.
+        // A miss (the walk passes the anchor's key) proves the install done
+        // only when read from a live predecessor; a dying one's frozen
+        // reference is stale, so that miss re-descends too.
+        let key = unsafe { f.key() };
+        let descend = || self.graph.search_from(key, f.mvec(), None, false, ctx);
+        let mut res;
         let won_install = 'install: loop {
-            let mut p = self.graph.head(0, f.mvec());
+            res = descend();
+            let mut p = res.preds[0];
             loop {
                 let pred = unsafe { &*p };
                 let w0 = pred.load_next(0, ctx);
                 if w0.ptr() == anchor.as_ptr() {
-                    if w0.marked() {
+                    if w0.marked() && !self.trusts_dying_pred() {
                         // The predecessor is itself a dying frozen anchor;
                         // its replacement will take over the reference to
-                        // us, so help it first and rescan.
+                        // us, so help it first and re-descend.
                         debug_assert!(pred.is_data());
                         self.help_split(unsafe { NonNull::new_unchecked(p) }, ctx);
+                        self.tally.redescents.fetch_add(1, Relaxed);
                         continue 'install;
                     }
                     match pred.cas_next(0, w0, w0.with_ptr(target), ctx) {
@@ -1161,7 +1233,10 @@ where
                     break 'install false;
                 }
                 let nref = unsafe { &*w0.ptr() };
-                if nref.is_tail() || nref.cmp_key(unsafe { f.key() }) == CmpOrdering::Greater {
+                if nref.is_tail() || nref.cmp_key(key) == CmpOrdering::Greater {
+                    if w0.marked() {
+                        continue 'install; // stale miss: re-descend
+                    }
                     break 'install false; // already installed by another helper
                 }
                 p = w0.ptr();
@@ -1175,9 +1250,11 @@ where
             // live: a frozen anchor left on upper levels keeps covering
             // searches landing on it, since its own `next0` bypasses the
             // replacement chain.
-            self.unlink_upper(anchor, ctx);
+            self.unlink_upper(anchor, res, ctx);
             return;
         }
+
+        self.tally.installs.fetch_add(1, Relaxed);
 
         // (e) Winner duties. The dead anchor's generation must move so
         // cached block hints go stale: retirement bumps it when
@@ -1186,7 +1263,7 @@ where
             f.bump_generation();
         }
         self.graph.note_unlinked_chain(anchor.as_ptr(), succ0, 0, ctx);
-        self.unlink_upper(anchor, ctx);
+        self.unlink_upper(anchor, res, ctx);
 
         // The install winner links the replacement *chain* upward and
         // republishes its entries in the index. The chain is recovered by
@@ -1264,8 +1341,11 @@ where
     ///
     /// Returns `None` when nothing was decided, else the applied prefix
     /// length, per-entry freshness (false = key already present; the
-    /// existing value wins, as in [`Self::insert_pinned`]), and the last
-    /// chain block — the natural hint for the run's continuation.
+    /// existing value wins, as in [`Self::insert_pinned`]), and the hint
+    /// for the run's continuation: the second-to-last chain block when
+    /// the chain has two. The last block covers everything up to the old
+    /// successor, so the next append past it freezes exactly that block;
+    /// its full left neighbour stays live, one hop from the new tail.
     #[allow(clippy::type_complexity)]
     fn bulk_apply(
         &self,
@@ -1290,6 +1370,7 @@ where
                 Err(cur) => w = cur,
             }
         }
+        self.tally.freezes.fetch_add(1, Relaxed);
         let frozen_w = w | FROZEN;
 
         let mut survivors: Vec<(K, V)> = (0..self.cap)
@@ -1363,7 +1444,8 @@ where
             match blk.forward().compare_exchange(0, first.as_ptr() as usize) {
                 Ok(_) => {
                     ctx.record_bulk_fill(built.len() as u64, merged.len() as u64);
-                    Some(Some(built[0])) // last chunk block: the run's hint
+                    // `built` runs right to left: [0] is the last block.
+                    Some(built.get(1).or(built.first()).copied())
                 }
                 Err(_) => {
                     for b in built {
@@ -1396,25 +1478,35 @@ where
     }
 
     /// Physically unlinks a dead anchor from levels `1..=top` of its
-    /// associated list. Per level: walk from the head, excising *every*
-    /// dying anchor encountered on the way (their marked references are
-    /// frozen, so the splice target is stable); if the anchor is not
-    /// found the level was never linked or already unlinked — give up
-    /// (the safe leak mirrors `link_upper`'s abort path). Excising dead
-    /// predecessors ourselves instead of helping their own splits is what
-    /// keeps this loop live: two dying anchors that are each other's
-    /// upper-level predecessors would otherwise spin forever, since a
-    /// helper whose install CAS is already decided never reaches the
-    /// other's unlink duties. Only a thread's own successful CAS reports
-    /// the unlink, so retirement accounting never double-counts.
-    fn unlink_upper(&self, anchor: NonNull<BNode<K>>, ctx: &ThreadCtx) {
+    /// associated list. Per level: walk from the level's predecessor in
+    /// `res`, the install's descent to the anchor's key (live when
+    /// observed, key below the anchor's, so it precedes the anchor),
+    /// excising *every* dying anchor encountered on the way (their marked
+    /// references are frozen, so the splice target is stable); if the
+    /// anchor is not found the level was never linked or already unlinked
+    /// — give up (the safe leak mirrors `link_upper`'s abort path). Any
+    /// restart descends again rather than reuse a start that may have
+    /// died. Excising dead predecessors
+    /// ourselves instead of helping their own splits is what keeps this
+    /// loop live: two dying anchors that are each other's upper-level
+    /// predecessors would otherwise spin forever, since a helper whose
+    /// install CAS is already decided never reaches the other's unlink
+    /// duties. Only a thread's own successful CAS reports the unlink, so
+    /// retirement accounting never double-counts.
+    fn unlink_upper(
+        &self,
+        anchor: NonNull<BNode<K>>,
+        mut res: SearchResult<K, ()>,
+        ctx: &ThreadCtx,
+    ) {
         let f = unsafe { anchor.as_ref() };
         let key = unsafe { f.key() };
+        let descend = || self.graph.search_from(key, f.mvec(), None, false, ctx);
         for level in 1..=f.top_level() as usize {
             // The anchor is fully marked, so its level reference is frozen.
             debug_assert!(f.load_next_raw(level).marked());
             'level: loop {
-                let mut p = self.graph.head(level as u8, f.mvec());
+                let mut p = res.preds[level];
                 loop {
                     let pred = unsafe { &*p };
                     let w = pred.load_next(level, ctx);
@@ -1422,8 +1514,9 @@ where
                         break 'level;
                     }
                     if w.marked() {
-                        // `pred` died under our feet mid-walk; restart so
-                        // the next pass from the head excises it first.
+                        // `pred` died under our feet mid-walk; re-descend
+                        // (the search skips it) so the walk excises it.
+                        res = descend();
                         continue 'level;
                     }
                     let nref = unsafe { &*w.ptr() };
@@ -1442,7 +1535,10 @@ where
                                 }
                                 continue; // keep walking from `pred`
                             }
-                            Err(_) => continue 'level,
+                            Err(_) => {
+                                res = descend();
+                                continue 'level;
+                            }
                         }
                     }
                     p = w.ptr();
@@ -1568,6 +1664,13 @@ where
     }
 }
 
+/// Whether a generation-validated anchor is still live: a data node whose
+/// level-0 reference is unmarked and set (not dying, not unlinked).
+fn is_live_anchor<K>(node: &BNode<K>) -> bool {
+    let w0 = node.load_next_raw(0);
+    node.is_data() && !w0.marked() && !w0.ptr().is_null()
+}
+
 /// Every handle caps its anchor cache here; overflowing clears it
 /// wholesale (entries are hints, not state — rebuilding is one descent
 /// per block, and a bounded map keeps `max_lower_equal` cheap).
@@ -1603,68 +1706,36 @@ where
         &self.ctx
     }
 
-    /// Resolves `key` through the anchor cache under the current pin:
-    /// take the greatest cached anchor `<= key`, validate it is still its
-    /// live incarnation (generation check), a data node, unmarked, and
-    /// covering — the direct successor past `key`. Dead entries (gen
-    /// moved, marked, or unlinked) are evicted and the next-lower cached
-    /// anchor tried; a live block that simply no longer covers `key`
-    /// (e.g. it split and the upper half absorbed the key's range) stays
-    /// cached for its own narrower range, and the op pays the descent.
-    /// Keys below the anchor key never resolve here (the map order
-    /// guarantees `anchor.key <= key`); only a split of the cached block
-    /// can create a closer anchor above it, and splits freeze first, so
-    /// the operation's own frozen check closes the remaining window.
-    fn validated_cached(&mut self, key: &K) -> Option<NonNull<BNode<K>>> {
+    /// The greatest cached anchor `<= key` that is still its live
+    /// incarnation (generation check), a data node, and unmarked. Dead
+    /// entries (gen moved, marked, or unlinked) are evicted on sight and
+    /// the next-lower cached anchor tried — the invalidate-on-observed-split
+    /// rule. Keys below the anchor key never resolve here (the map order
+    /// guarantees `anchor.key <= key`).
+    fn nearest_cached(&mut self, key: &K) -> Option<NonNull<BNode<K>>> {
         loop {
             let (akey, hint) = self.anchors.max_lower_equal(key)?;
             let akey = *akey;
-            let live = hint.node().filter(|node| {
-                node.is_data() && {
-                    let w0 = node.load_next_raw(0);
-                    !w0.marked() && !w0.ptr().is_null()
-                }
-            });
-            let Some(node) = live else {
-                self.anchors.remove(&akey);
-                continue;
-            };
-            debug_assert!(node.cmp_key(key) != CmpOrdering::Greater);
-            let w0 = node.load_next_raw(0);
-            if unsafe { &*w0.ptr() }.cmp_key(key) != CmpOrdering::Greater {
-                return None;
+            if hint.node().is_some_and(is_live_anchor) {
+                return Some(hint.ptr);
             }
-            return Some(hint.ptr);
+            self.anchors.remove(&akey);
         }
     }
 
-    /// Injected bug (`--features bug-injection`, `anchor_blocked_sg`
-    /// lane: non-default merge threshold, so each stress lane carries
-    /// exactly one live fault): resolve the cached anchor *without* the
-    /// covering check — i.e. sever anchor invalidation on an observed
-    /// split. A read through a stale anchor whose block's range moved to
-    /// a split-off sibling then scans the wrong block and reports a
-    /// present key absent: the stale-miss the deterministic wall must
-    /// catch. Reads only — a severed write would publish outside the
-    /// coverage invariant and corrupt the level-0 order itself, turning
-    /// the detectable lie into a structural livelock.
-    #[cfg(feature = "bug-injection")]
-    fn severed_cached(&mut self, key: &K) -> Option<NonNull<BNode<K>>> {
-        loop {
-            let (akey, hint) = self.anchors.max_lower_equal(key)?;
-            let akey = *akey;
-            let live = hint.node().filter(|node| {
-                node.is_data() && {
-                    let w0 = node.load_next_raw(0);
-                    !w0.marked() && !w0.ptr().is_null()
-                }
-            });
-            let Some(_node) = live else {
-                self.anchors.remove(&akey);
-                continue;
-            };
-            return Some(hint.ptr);
-        }
+    /// Resolves `key` through the anchor cache under the current pin:
+    /// the [nearest live cached anchor](Self::nearest_cached), if it still
+    /// covers `key` — its direct successor lies past `key`. A live block
+    /// that simply no longer covers `key` (e.g. it split and the upper
+    /// half absorbed the key's range) stays cached for its own narrower
+    /// range, and the op pays the descent. Only a split of the cached
+    /// block can create a closer anchor above it, and splits freeze
+    /// first, so the operation's own frozen check closes the remaining
+    /// window.
+    fn validated_cached(&mut self, key: &K) -> Option<NonNull<BNode<K>>> {
+        let anchor = self.nearest_cached(key)?;
+        let w0 = unsafe { anchor.as_ref() }.load_next_raw(0);
+        (unsafe { &*w0.ptr() }.cmp_key(key) == CmpOrdering::Greater).then_some(anchor)
     }
 
     fn start_for(&mut self, key: &K) -> Option<NonNull<BNode<K>>> {
@@ -1680,12 +1751,22 @@ where
     }
 
     /// The read path's anchor resolution: identical to [`start_for`]
-    /// except that the bug-injection build of the compacting-policy lane
-    /// trusts stale anchors (see [`severed_cached`]).
+    /// except in the bug-injection build of the compacting-policy lane.
     fn read_start_for(&mut self, key: &K) -> Option<NonNull<BNode<K>>> {
+        // Injected bug (`--features bug-injection`, `anchor_blocked_sg`
+        // lane: non-default merge threshold, so each stress lane carries
+        // exactly one live fault): resolve the nearest live cached anchor
+        // *without* the covering check — i.e. sever anchor invalidation
+        // on an observed split. A read through a stale anchor whose
+        // block's range moved to a split-off sibling then scans the wrong
+        // block and reports a present key absent: the stale-miss the
+        // deterministic wall must catch. Reads only — a severed write
+        // would publish outside the coverage invariant and corrupt the
+        // level-0 order itself, turning the detectable lie into a
+        // structural livelock.
         #[cfg(feature = "bug-injection")]
         if self.map.policy.merge_threshold > 0 {
-            return self.severed_cached(key);
+            return self.nearest_cached(key);
         }
         self.start_for(key)
     }
@@ -1743,40 +1824,39 @@ where
         self.get(key).is_some()
     }
 
-    /// Resolves the target anchor for `key` from the carried chain hint:
-    /// a validated covering hint answers directly; a live hint whose key
-    /// is still `<= key` walks the level-0 chain forward (consecutive
-    /// sorted-run groups pay only the hops between their blocks, never a
-    /// fresh descent); anything else falls back to the anchor cache.
+    /// Resolves the target anchor for `key` in a sorted run: start from
+    /// the nearest live anchor at or below `key` — the carried chain hint
+    /// or the anchor cache's, whichever is closer — and walk the level-0
+    /// chain forward to the covering block (consecutive groups pay only
+    /// the hops between their blocks, never a fresh descent). The walk is
+    /// deliberately uncapped: a descent costs more than the hops a live
+    /// nearby start leaves. `None` (no live anchor known at or below
+    /// `key`) makes the op descend.
     fn resolve_for_run(
         &mut self,
         chain: &Option<NodeRef<K, ()>>,
         key: &K,
     ) -> Option<NonNull<BNode<K>>> {
-        if let Some(hint) = chain {
-            if let Some(node) = hint.node() {
-                if node.is_data() && node.cmp_key(key) != CmpOrdering::Greater {
-                    let w0 = node.load_next_raw(0);
-                    if !w0.marked() && !w0.ptr().is_null() {
-                        if unsafe { &*w0.ptr() }.cmp_key(key) == CmpOrdering::Greater {
-                            self.ctx.record_anchor_hit();
-                            self.ctx.record_search(1);
-                            self.ctx.record_hinted_search(1);
-                            return Some(hint.ptr);
-                        }
-                        let (found, hops) =
-                            self.map.covering_anchor_from(hint.ptr, key, &self.ctx);
-                        if let Some(a) = found {
-                            self.ctx.record_anchor_hit();
-                            self.ctx.record_search(hops + 1);
-                            self.ctx.record_hinted_search(hops + 1);
-                            return Some(a);
-                        }
-                    }
-                }
+        let hint = chain.as_ref().and_then(|h| {
+            h.node()
+                .is_some_and(|node| {
+                    is_live_anchor(node) && node.cmp_key(key) != CmpOrdering::Greater
+                })
+                .then_some(h.ptr)
+        });
+        let cached = self.nearest_cached(key);
+        let start = match (hint, cached) {
+            (Some(h), Some(c)) => {
+                let (hk, ck) = unsafe { (h.as_ref().key(), c.as_ref().key()) };
+                Some(if ck > hk { c } else { h })
             }
-        }
-        self.start_for(key)
+            (h, c) => h.or(c),
+        }?;
+        let (anchor, hops) = self.map.covering_anchor_from(start, key, &self.ctx);
+        self.ctx.record_anchor_hit();
+        self.ctx.record_search(hops + 1);
+        self.ctx.record_hinted_search(hops + 1);
+        Some(anchor)
     }
 
     /// Executes a key-sorted run of `(slot, op_index, op)` triples —
@@ -1909,11 +1989,24 @@ where
     /// Applies a batch of operations as one combiner-style sorted run,
     /// returning outcomes in submission order. The single-thread
     /// entry point to the anchor-granular path (the multi-thread one is
-    /// the flat-combining executor's `CombinerTarget` plumbing).
+    /// the flat-combining executor's `CombinerTarget` plumbing). Its
+    /// inserts feed the ascending-stream sensor in submission order, like
+    /// [`Self::insert`].
     pub fn execute_batch(&mut self, ops: Vec<BatchOp<K, V>>) -> Vec<BlockedOutcome<V>>
     where
         V: PartialEq,
     {
+        if self.map.asc.is_some() {
+            // Same per-handle rule as `insert`: each insert, in submission
+            // order, is ascending when it exceeds this handle's previous one.
+            for op in &ops {
+                if let BatchOp::Insert(k, _) = op {
+                    self.map
+                        .note_asc(self.last_insert_key.is_some_and(|p| *k > p));
+                    self.last_insert_key = Some(*k);
+                }
+            }
+        }
         let n = ops.len();
         let mut work: Vec<(usize, usize, BatchOp<K, V>)> = ops
             .into_iter()
@@ -2280,6 +2373,39 @@ mod tests {
             assert!(ha.insert(k, k));
         }
         assert!(!adaptive.asc_mode(), "descending stream must disengage");
+    }
+
+    /// `execute_batch` feeds the ascending sensor with the same
+    /// per-handle rule as single inserts, so batched ingest engages
+    /// leave-behind splits too.
+    #[test]
+    fn ascending_batches_engage_the_gate() {
+        let adapt = AdaptConfig::new().window_ops(64).dwell_windows(0);
+        let map: BlockedSkipMap<u64, u64> = BlockedSkipMap::new(cfg(1).adapt(adapt), 8);
+        let mut h = map.register(ctx());
+        for start in (0..256u64).step_by(32) {
+            let ops = (start..start + 32).map(|k| BatchOp::Insert(k, k)).collect();
+            assert!(h
+                .execute_batch(ops)
+                .iter()
+                .all(|o| *o == BlockedOutcome::Inserted(true)));
+        }
+        let st = map.asc_state().expect("adapt configured");
+        assert!(
+            st.engaged,
+            "an ascending batch stream must engage the gate: {st:?}"
+        );
+        assert!(st.switches >= 1 && st.last_asc_pct >= 80, "{st:?}");
+        // Descending batches disengage it again.
+        for start in (0..8u64).rev().map(|i| 1_000 + 32 * i) {
+            let ops = (start..start + 32)
+                .rev()
+                .map(|k| BatchOp::Insert(k, k))
+                .collect();
+            h.execute_batch(ops);
+        }
+        assert!(!map.asc_mode(), "a descending batch stream must disengage");
+        map.check_invariants(&ctx()).unwrap();
     }
 
     #[test]

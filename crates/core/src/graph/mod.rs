@@ -25,7 +25,7 @@ mod tests;
 
 pub use block::{
     AscSnapshot, BlockPolicy, BlockedHandle, BlockedOutcome, BlockedRangeIter, BlockedSkipMap,
-    BlockedStats, MAX_BLOCK_CAP, MIN_BLOCK_CAP,
+    BlockedStats, InstallCounts, MAX_BLOCK_CAP, MIN_BLOCK_CAP,
 };
 pub use iter::SnapshotIter;
 pub use ops::HintChain;

@@ -75,7 +75,7 @@ pub use batch::{
 };
 pub use graph::{
     AscSnapshot, BlockPolicy, BlockedHandle, BlockedOutcome, BlockedRangeIter, BlockedSkipMap,
-    BlockedStats, HintChain, MemoryStats, NodeRef, NodeRefHint, RangeIter, SkipGraph,
+    BlockedStats, HintChain, InstallCounts, MemoryStats, NodeRef, NodeRefHint, RangeIter, SkipGraph,
     SnapshotIter, StructureStats, MAX_BLOCK_CAP, MIN_BLOCK_CAP,
 };
 pub use layered::{CombiningHandle, LayeredHandle, LayeredMap, ReadOnlyView};

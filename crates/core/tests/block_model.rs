@@ -11,9 +11,9 @@
 //! coverage, no frozen residue) are re-checked after every run.
 #![cfg(not(feature = "bug-injection"))]
 
-use instrument::ThreadCtx;
+use instrument::{AccessStats, ThreadCtx};
 use proptest::prelude::*;
-use skipgraph::{BlockPolicy, BlockedSkipMap, GraphConfig};
+use skipgraph::{BatchOp, BlockPolicy, BlockedOutcome, BlockedSkipMap, GraphConfig};
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -364,6 +364,75 @@ fn split_storm_on_shared_keys_stays_live() {
     }
 }
 
+/// Cost regression for sorted-run resolution and the split install: two
+/// producers on one event clock (client `c` owns keys `2·seq + c`) append
+/// alternating windowed batches — 32 ascending inserts at the tail plus
+/// removes of the client's oldest 32 — over 2^16 live keys in a tall
+/// sparse map. Block boundaries straddle the two clients' batches, so a
+/// batch's removes leave a live block at the window's head. Each batch's
+/// groups must start from a live anchor near their keys and each install
+/// from a descent, so a batch touches a bounded number of node
+/// references. Walking from the window's head to its tail (~8 000
+/// anchors per batch) fails the bound by more than 10x.
+#[test]
+fn windowed_tail_append_cost_is_bounded() {
+    const WINDOW: u64 = 1 << 15; // per client
+    const BATCH: u64 = 32;
+    const ROUNDS: u64 = 64;
+    const MAX_REFS_PER_BATCH: u64 = 1_000;
+    let sink = AccessStats::new(2);
+    let map: BlockedSkipMap<u64, u64> = BlockedSkipMap::new(
+        GraphConfig::new(2)
+            .max_level(7)
+            .sparse(true)
+            .chunk_capacity(1 << 12),
+        8,
+    );
+    let mut clients = [0u16, 1].map(|c| map.register(ThreadCtx::recording(c, sink.clone())));
+    let key = |c: usize, seq: u64| 2 * seq + c as u64;
+    // Batch `j` belongs to client `j % 2` and covers event times
+    // `32·j ..`; once a client's window is full, it also expires the batch
+    // it wrote `WINDOW / 32` batches of its own ago.
+    let mut batch = |j: u64| {
+        let c = (j % 2) as usize;
+        let start = j * BATCH;
+        let mut ops: Vec<BatchOp<u64, u64>> = (start..start + BATCH)
+            .map(|s| BatchOp::Insert(key(c, s), s))
+            .collect();
+        let own_batches = WINDOW / BATCH;
+        if j >= 2 * own_batches {
+            let old = (j - 2 * own_batches) * BATCH;
+            ops.extend((old..old + BATCH).map(|s| BatchOp::Remove(key(c, s))));
+        }
+        let n = ops.len();
+        let out = clients[c].execute_batch(ops);
+        for (i, o) in out.iter().enumerate() {
+            let want = if i < BATCH as usize {
+                BlockedOutcome::Inserted(true)
+            } else {
+                BlockedOutcome::Removed(true)
+            };
+            assert_eq!(*o, want, "batch {j} op {i} of {n}");
+        }
+    };
+    let fill = 2 * WINDOW / BATCH;
+    for j in 0..fill {
+        batch(j);
+    }
+    let before = sink.reads().total();
+    for j in fill..fill + ROUNDS {
+        batch(j);
+    }
+    let per_batch = (sink.reads().total() - before) / ROUNDS;
+    assert!(
+        per_batch <= MAX_REFS_PER_BATCH,
+        "{per_batch} node references read per windowed batch (bound {MAX_REFS_PER_BATCH})"
+    );
+    let ctx = ThreadCtx::plain(0);
+    assert_eq!(map.len(&ctx), 2 * WINDOW as usize);
+    map.check_invariants(&ctx).unwrap();
+}
+
 /// The same disjoint-class exactness under the deterministic scheduler:
 /// every facade access is sequenced by the policy, so failures here come
 /// with a replayable schedule.
@@ -373,26 +442,30 @@ mod deterministic {
     use skipgraph::det::{self, DetConfig, Policy};
     use std::sync::Mutex;
 
+    const THREADS: u64 = 3;
+
     fn det_round(cap: usize, seed: u64, det: DetConfig) {
-        const THREADS: u64 = 3;
-        let map: BlockedSkipMap<u64, u64> = BlockedSkipMap::new(
-            GraphConfig::new(THREADS as usize).chunk_capacity(512),
-            cap,
-        );
+        let map: BlockedSkipMap<u64, u64> =
+            BlockedSkipMap::new(GraphConfig::new(THREADS as usize).chunk_capacity(512), cap);
+        det_plans(&map, seed, 60, det);
+    }
+
+    /// Runs one disjoint-class plan per thread under `det` and checks the
+    /// final state exactly.
+    fn det_plans(map: &BlockedSkipMap<u64, u64>, seed: u64, ops: usize, det: DetConfig) {
         let models = Mutex::new(Vec::new());
         let workers: Vec<Box<dyn FnOnce() + Send>> = (0..THREADS)
             .map(|t| {
-                let map = &map;
                 let models = &models;
                 Box::new(move || {
-                    let plan = class_plan(seed, t, THREADS, 60, 24);
+                    let plan = class_plan(seed, t, THREADS, ops, 24);
                     let model = run_plan(map, t as u16, &plan);
                     models.lock().unwrap().push(model);
                 }) as Box<dyn FnOnce() + Send>
             })
             .collect();
         det::run_threads(&det, workers);
-        check_final_state(&map, models.into_inner().unwrap());
+        check_final_state(map, models.into_inner().unwrap());
     }
 
     #[test]
@@ -417,5 +490,54 @@ mod deterministic {
                 ),
             );
         }
+    }
+
+    /// The split install's protocol edge: the install walk starts at a
+    /// descended level-0 predecessor, and these schedules freeze and
+    /// replace that predecessor before the walk reaches the anchor (the
+    /// walk then meets the anchor behind a dying reference, helps the
+    /// predecessor, and descends again). Sparse towers at cap 2 with a
+    /// compacting merge threshold keep neighbouring blocks splitting and
+    /// merging together. Every schedule must install each frozen block
+    /// exactly once and leave an exact, live map; across the sweep the
+    /// edge must actually be reached.
+    #[test]
+    fn install_survives_a_dying_descended_predecessor() {
+        let mut redescents = 0;
+        for seed in 0..12u64 {
+            let map: BlockedSkipMap<u64, u64> = BlockedSkipMap::with_policy(
+                GraphConfig::new(THREADS as usize)
+                    .max_level(3)
+                    .sparse(true)
+                    .chunk_capacity(512),
+                2,
+                BlockPolicy {
+                    split_left_pct: 50,
+                    merge_threshold: 1,
+                    fill_target: 2,
+                },
+            );
+            let policy = if seed % 2 == 0 {
+                Policy::Pct {
+                    change_points: 10,
+                    expected_steps: 30_000,
+                }
+            } else {
+                Policy::RoundRobin {
+                    quantum: 1 + seed as u32 % 5,
+                }
+            };
+            det_plans(&map, 100 + seed, 80, DetConfig::new(seed, policy));
+            let c = map.install_counts();
+            assert_eq!(
+                c.freezes, c.installs,
+                "seed {seed}: install not exactly once: {c:?}"
+            );
+            redescents += c.redescents;
+        }
+        assert!(
+            redescents > 0,
+            "no schedule froze a descended install predecessor"
+        );
     }
 }

@@ -402,3 +402,93 @@ fn injected_anchor_stale_covering_is_caught_and_shrunk() {
     assert!(text.contains("anchor_blocked_sg"));
     assert!(text.contains("replay:"));
 }
+
+#[test]
+fn injected_dying_install_predecessor_is_caught() {
+    // The split install's injected fault (sparse-tower blocked maps only,
+    // so the registry's blocked stress lanes keep one live fault each):
+    // the install walk starts at a descended level-0 predecessor, and
+    // when that predecessor is frozen and dying by the time the walk
+    // reaches the anchor, the faulty walk trusts it and lands the install
+    // CAS on its frozen reference instead of helping it and descending
+    // again. The frozen block stays linked behind the dead predecessor's
+    // replacement, so a second helper installs it again — the
+    // exactly-once install accounting (`freezes == installs` at
+    // quiescence), the final contents and the structural invariants must
+    // expose it. The maps and schedules are those of
+    // `block_model.rs::install_survives_a_dying_descended_predecessor`,
+    // which the correct build passes with the edge reached; here the
+    // plans run through map-level ops, and with the compacting merge
+    // threshold that keeps the other two blocked faults (lost insert,
+    // severed anchor cache) out of the run.
+    use instrument::ThreadCtx;
+    use skipgraph::det::run_threads;
+    use skipgraph::{BlockPolicy, BlockedSkipMap, GraphConfig};
+    use std::collections::BTreeSet;
+    use std::sync::Mutex;
+
+    const THREADS: u64 = 3;
+    let mut caught = Vec::new();
+    for seed in 0..12u64 {
+        let map: BlockedSkipMap<u64, u64> = BlockedSkipMap::with_policy(
+            GraphConfig::new(THREADS as usize)
+                .max_level(3)
+                .sparse(true)
+                .chunk_capacity(512),
+            2,
+            BlockPolicy {
+                split_left_pct: 50,
+                merge_threshold: 1,
+                fill_target: 2,
+            },
+        );
+        let models = Mutex::new(BTreeSet::new());
+        let workers: Vec<Box<dyn FnOnce() + Send + '_>> = (0..THREADS)
+            .map(|t| {
+                let (map, models) = (&map, &models);
+                Box::new(move || {
+                    let ctx = ThreadCtx::plain(t as u16);
+                    let mut live = BTreeSet::new();
+                    let mut x = (100 + seed) ^ (t.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+                    for _ in 0..80 {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        let k = (x / 8 % (24 / THREADS)) * THREADS + t;
+                        if x % 8 < 5 {
+                            if map.insert(k, k, &ctx) {
+                                live.insert(k);
+                            }
+                        } else if map.remove(&k, &ctx) {
+                            live.remove(&k);
+                        }
+                    }
+                    models.lock().unwrap().extend(live);
+                }) as Box<dyn FnOnce() + Send + '_>
+            })
+            .collect();
+        let policy = if seed % 2 == 0 {
+            Policy::Pct {
+                change_points: 10,
+                expected_steps: 30_000,
+            }
+        } else {
+            Policy::RoundRobin {
+                quantum: 1 + seed as u32 % 5,
+            }
+        };
+        run_threads(&DetConfig::new(seed, policy), workers);
+        let ctx = ThreadCtx::plain(0);
+        let counts = map.install_counts();
+        let want: Vec<u64> = models.into_inner().unwrap().into_iter().collect();
+        let got: Vec<u64> = map.iter(&ctx).map(|(k, _)| k).collect();
+        if counts.freezes != counts.installs || got != want || map.check_invariants(&ctx).is_err() {
+            caught.push((seed, counts));
+        }
+    }
+    eprintln!("schedules exposing the dying-predecessor install: {caught:?}");
+    assert!(
+        !caught.is_empty(),
+        "a trusted dying install predecessor went undetected on every schedule"
+    );
+}
