@@ -67,13 +67,10 @@
 //! overrides); with `--check` the process exits non-zero on gate
 //! failure.
 
-use instrument::{AccessStats, ThreadCtx};
+use bench::gate::{self, key, Cli, Gate, Json, Measure, Sockets, LOGS, REMOTE_COST};
+use instrument::AccessStats;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
-use skipgraph::{AdaptConfig, GraphConfig, ReplicaConfig, ReplicatedLayeredMap};
-use std::path::PathBuf;
-use std::sync::Arc;
-use std::time::Instant;
+use skipgraph::{AdaptConfig, ReplicatedHandle, ReplicatedLayeredMap};
 use synchro::Zipf;
 
 /// Preloaded keys: enough that replica structures have real depth.
@@ -86,190 +83,45 @@ const CHURN_OPS: u64 = 4_000;
 /// Unmeasured settle rounds opening every phase (x [`SOCKETS`] ops):
 /// ~23 sensor windows — sense + dwell + transition, rebuild included.
 const SETTLE_ROUNDS: u64 = 1_500;
-const CHUNK: usize = 1 << 12;
 const TRIALS: usize = 3;
 /// YCSB-style skew.
 const ZIPF_ALPHA: f64 = 0.99;
 /// Synthetic sockets (replicas) — the acceptance geometry.
-const SOCKETS: usize = 8;
-/// Independent operation logs (one per membership-vector family pair).
-const LOGS: usize = 4;
-/// Modeled cost of a remote shared-node line access, in local-access
-/// units (see `bench_replicate` for the derivation).
-const REMOTE_COST: f64 = 5.0;
+const SOCKETS: Sockets = Sockets(8);
 
 /// Adaptive must stay within 10% of the best static policy per phase.
 const MIN_VS_BEST: f64 = 0.9;
 /// And beat the worst static policy by 30% over the full sequence.
 const MIN_VS_WORST: f64 = 1.3;
 
-/// Thread slots: measurement tids 1..=SOCKETS (one per socket under the
-/// uniform placement) plus tid 0 as the preloader on socket 0.
-const SLOTS: usize = SOCKETS + 1;
-
 const PHASES: [&str; 4] = ["read_heavy", "write_heavy", "ascending", "churn"];
 const PHASE_OPS: [u64; 4] = [READ_OPS, WRITE_OPS, ASC_OPS, CHURN_OPS];
+const LANES: [&str; 3] = ["adaptive", "static_replicated", "static_single"];
 
-fn tid_of(i: u64) -> u16 {
-    i as u16 + 1
+/// Builds lane `lane` of [`LANES`]. The live controller uses windows
+/// small enough that a phase transition is sensed within a few percent
+/// of a phase, and one dwell window so a single outlier window cannot
+/// flip the structure; the pinned-single policy starts single and its
+/// sensor window never closes, so the gate never reconsiders.
+fn build(lane: usize) -> ReplicatedLayeredMap<u64, u64> {
+    let rcfg = match lane {
+        0 => SOCKETS
+            .replica_config()
+            .adapt(AdaptConfig::new().window_ops(512).dwell_windows(1)),
+        1 => SOCKETS.replica_config(),
+        _ => SOCKETS
+            .replica_config()
+            .adapt(AdaptConfig::new().window_ops(u32::MAX).start_single(true)),
+    };
+    ReplicatedLayeredMap::new(SOCKETS.graph_config(), rcfg)
 }
 
-/// Key `i`, scattered uniformly (odd multiplier: a bijection on `u64`).
-fn key(i: u64) -> u64 {
-    i.wrapping_mul(0x9E37_79B1_85EB_CA87)
-}
-
-/// Identical shared-structure geometry on every lane (commission
-/// disabled so line counts do not depend on this host's clock).
-fn graph_config() -> GraphConfig {
-    GraphConfig::new(SLOTS)
-        .lazy(true)
-        .hash_index(true)
-        .chunk_capacity(CHUNK)
-        .commission_cycles(u64::MAX)
-}
-
-fn replica_config() -> ReplicaConfig {
-    ReplicaConfig::uniform(SLOTS, SOCKETS)
-        .logs(LOGS)
-        .log_capacity(1 << 10)
-        .max_lag(3 << 8)
-}
-
-/// The live controller: windows small enough that a phase transition is
-/// sensed within a few percent of a phase, one dwell window so a single
-/// outlier window cannot flip the structure.
-fn adaptive_cfg() -> AdaptConfig {
-    AdaptConfig::new().window_ops(512).dwell_windows(1)
-}
-
-/// The pinned-single policy: starts single and the sensor window never
-/// closes, so the gate never reconsiders.
-fn pinned_single_cfg() -> AdaptConfig {
-    AdaptConfig::new().window_ops(u32::MAX).start_single(true)
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum LaneKind {
-    Adaptive,
-    StaticReplicated,
-    StaticSingle,
-}
-
-impl LaneKind {
-    fn name(self) -> &'static str {
-        match self {
-            LaneKind::Adaptive => "adaptive",
-            LaneKind::StaticReplicated => "static_replicated",
-            LaneKind::StaticSingle => "static_single",
-        }
-    }
-
-    fn build(self) -> ReplicatedLayeredMap<u64, u64> {
-        let rcfg = match self {
-            LaneKind::Adaptive => replica_config().adapt(adaptive_cfg()),
-            LaneKind::StaticReplicated => replica_config(),
-            LaneKind::StaticSingle => replica_config().adapt(pinned_single_cfg()),
-        };
-        ReplicatedLayeredMap::new(graph_config(), rcfg)
-    }
-}
-
-/// Thread → synthetic socket, for the locality split.
-fn classification() -> Vec<usize> {
-    let rcfg = replica_config();
-    (0..SLOTS).map(|t| rcfg.socket_of(t as u16)).collect()
-}
-
-/// Round-robin preload across every measurement handle (uninstrumented)
-/// so single-structure node ownership spreads over all sockets.
-fn preload(map: &ReplicatedLayeredMap<u64, u64>) {
-    let mut handles: Vec<_> = (0..SLOTS)
-        .map(|t| map.register(ThreadCtx::plain(t as u16)))
-        .collect();
-    for i in 0..KEYS {
-        assert!(handles[i as usize % SLOTS].insert(key(i), i));
-    }
-}
-
-/// Retires the preload's replay debt (uninstrumented) so measured
-/// phases start from converged replicas. In single-class epochs this is
-/// a no-op: replica 0 is synchronously maintained.
-fn sync_replicas(map: &ReplicatedLayeredMap<u64, u64>) {
-    for t in 0..SOCKETS as u64 {
-        map.register(ThreadCtx::plain(tid_of(t))).sync();
-    }
-}
-
-/// Runs `ops` rounds of `op(handle, rng, round)`, one op per socket
-/// handle per round, from a single driver thread — the fair interleave
-/// that makes locality attribution scheduler-independent on a non-NUMA
-/// host (see `bench_replicate::interleave` for the full argument). The
-/// adaptive transitions also happen inline here, performed by whichever
-/// handle's sensor window closed — exactly the thread that would pay
-/// the drain on real hardware. With `stats: None` the run is a settle
-/// slice: same work, nothing recorded.
-fn interleave<F>(
-    map: &ReplicatedLayeredMap<u64, u64>,
-    stats: Option<&Arc<AccessStats>>,
-    seed: u64,
-    ops: u64,
-    mut op: F,
-) -> f64
-where
-    F: FnMut(&mut skipgraph::ReplicatedHandle<'_, u64, u64>, &mut SmallRng, u64),
-{
-    let mut handles: Vec<_> = (0..SOCKETS as u64)
-        .map(|t| {
-            map.register(match stats {
-                Some(s) => ThreadCtx::recording(tid_of(t), Arc::clone(s)),
-                None => ThreadCtx::plain(tid_of(t)),
-            })
-        })
-        .collect();
-    let mut rngs: Vec<SmallRng> = (0..SOCKETS as u64)
-        .map(|t| SmallRng::seed_from_u64(seed ^ t))
-        .collect();
-    let begin = Instant::now();
-    for i in 0..ops {
-        for (h, rng) in handles.iter_mut().zip(rngs.iter_mut()) {
-            op(h, rng, i);
-        }
-    }
-    (SOCKETS as u64 * ops) as f64 / begin.elapsed().as_secs_f64()
-}
-
-/// One phase measurement: wall throughput plus the locality-weighted
-/// line cost per operation.
-#[derive(Clone, Copy)]
-struct Measure {
-    ops_per_s: f64,
-    local_per_op: f64,
-    remote_per_op: f64,
-}
-
-impl Measure {
-    fn cost(&self) -> f64 {
-        self.local_per_op + REMOTE_COST * self.remote_per_op
-    }
-
-    fn locality(&self) -> f64 {
-        let total = self.local_per_op + self.remote_per_op;
-        if total == 0.0 {
-            1.0
-        } else {
-            self.local_per_op / total
-        }
-    }
-}
+type Op = Box<dyn FnMut(&mut ReplicatedHandle<'_, u64, u64>, &mut SmallRng, u64)>;
 
 /// The op mix of one phase. `asc_base` keys the ascending phase's fresh
 /// range — settle and measured slices get disjoint ranges so the
 /// measured stream is ascending inserts of genuinely new keys.
-fn phase_mix(
-    phase: usize,
-    asc_base: u64,
-) -> Box<dyn FnMut(&mut skipgraph::ReplicatedHandle<'_, u64, u64>, &mut SmallRng, u64)> {
+fn phase_mix(phase: usize, asc_base: u64) -> Op {
     let zipf = Zipf::new(KEYS, ZIPF_ALPHA);
     match phase {
         0 => Box::new(move |h, rng, i| {
@@ -297,9 +149,9 @@ fn phase_mix(
             // (rounds advance in lockstep, sockets within a round ascend).
             let mut slot = 0u64;
             Box::new(move |h, _rng, i| {
-                let s = slot % SOCKETS as u64;
+                let s = slot % SOCKETS.0 as u64;
                 slot += 1;
-                h.insert(asc_base + i * SOCKETS as u64 + s, i);
+                h.insert(asc_base + i * SOCKETS.0 as u64 + s, i);
             })
         }
         _ => Box::new(move |h, rng, i| {
@@ -314,7 +166,10 @@ fn phase_mix(
 }
 
 /// Runs one phase on `map`: the unmeasured settle slice, then the
-/// measured slice under fresh stats.
+/// measured slice under fresh stats. The adaptive transitions happen
+/// inline in the interleave, performed by whichever handle's sensor
+/// window closed — exactly the thread that would pay the drain on real
+/// hardware.
 fn run_phase(map: &ReplicatedLayeredMap<u64, u64>, phase: usize, trial: usize) -> Measure {
     let seed = 0x5EED_0000 ^ ((phase as u64) << 8) ^ trial as u64;
     let per_socket = PHASE_OPS[phase];
@@ -322,38 +177,38 @@ fn run_phase(map: &ReplicatedLayeredMap<u64, u64>, phase: usize, trial: usize) -
     // settle and measured slices must not collide across phases' visits.
     let asc_settle = 1u64 << 48;
     let asc_measured = 1u64 << 52;
-    interleave(map, None, seed ^ 0xFFFF, SETTLE_ROUNDS, phase_mix(phase, asc_settle));
-    let stats = AccessStats::new(SLOTS);
-    let ops_per_s = interleave(map, Some(&stats), seed, per_socket, phase_mix(phase, asc_measured));
-    let numa_of = classification();
-    let (lr, rr) = stats.reads().split_by_locality(&numa_of);
-    let (lc, rc) = stats.cas().split_by_locality(&numa_of);
-    let ops = SOCKETS as u64 * per_socket;
-    Measure {
-        ops_per_s,
-        local_per_op: (lr + lc) as f64 / ops as f64,
-        remote_per_op: (rr + rc) as f64 / ops as f64,
-    }
+    SOCKETS.interleave(
+        map,
+        None,
+        seed ^ 0xFFFF,
+        SETTLE_ROUNDS,
+        phase_mix(phase, asc_settle),
+    );
+    let stats = AccessStats::new(SOCKETS.slots());
+    let mix = phase_mix(phase, asc_measured);
+    let ops_per_s = SOCKETS.interleave(map, Some(&stats), seed, per_socket, mix);
+    SOCKETS.measure(&stats, ops_per_s, SOCKETS.0 as u64 * per_socket)
 }
 
 struct LaneRun {
-    kind: LaneKind,
     phases: Vec<Measure>,
     downshifts: u64,
     upshifts: u64,
     final_mode: &'static str,
 }
 
-/// One full trial of one lane: build, preload, converge, then the four
-/// phases in sequence on the same map.
-fn run_lane(kind: LaneKind, trial: usize) -> LaneRun {
-    let map = kind.build();
-    preload(&map);
-    sync_replicas(&map);
-    let phases: Vec<Measure> = (0..PHASES.len()).map(|p| run_phase(&map, p, trial)).collect();
+/// One full trial of one lane: build, preload round-robin across every
+/// slot (so single-structure node ownership spreads over all sockets),
+/// converge, then the four phases in sequence on the same map.
+fn run_lane(lane: usize, trial: usize) -> LaneRun {
+    let map = build(lane);
+    gate::preload(&map, SOCKETS.slots(), KEYS);
+    SOCKETS.sync(&map);
+    let phases: Vec<Measure> = (0..PHASES.len())
+        .map(|p| run_phase(&map, p, trial))
+        .collect();
     let snap = map.adapt_state();
     LaneRun {
-        kind,
         phases,
         downshifts: snap.as_ref().map_or(0, |s| s.downshifts),
         upshifts: snap.as_ref().map_or(0, |s| s.upshifts),
@@ -365,71 +220,47 @@ fn total_cost(lane: &LaneRun) -> f64 {
     lane.phases
         .iter()
         .zip(PHASE_OPS)
-        .map(|(m, ops)| m.cost() * (SOCKETS as u64 * ops) as f64)
+        .map(|(m, ops)| m.cost() * (SOCKETS.0 as u64 * ops) as f64)
         .sum()
 }
 
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
-fn lane_json(lane: &LaneRun) -> String {
+fn lane_json(lane: &LaneRun) -> Json {
     let phases = lane
         .phases
         .iter()
         .zip(PHASES)
-        .map(|(m, name)| {
-            format!(
-                "        \"{name}\": {{\"lines_per_op\": {:.2}, \"locality\": {:.3}, \
-                 \"modeled_cost\": {:.2}, \"ops_per_s\": {:.0}}}",
-                m.local_per_op + m.remote_per_op,
-                m.locality(),
-                m.cost(),
-                m.ops_per_s,
+        .fold(Json::new(), |j, (m, name)| {
+            j.obj(
+                name,
+                Json::new()
+                    .num("lines_per_op", m.lines(), 2)
+                    .num("locality", m.locality(), 3)
+                    .num("modeled_cost", m.cost(), 2)
+                    .num("ops_per_s", m.ops_per_s, 0),
             )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!(
-        "    \"{}\": {{\n      \"downshifts\": {},\n      \"upshifts\": {},\n      \
-         \"final_mode\": \"{}\",\n      \"phases\": {{\n{phases}\n      }}\n    }}",
-        lane.kind.name(),
-        lane.downshifts,
-        lane.upshifts,
-        lane.final_mode,
-    )
+        });
+    Json::new()
+        .raw("downshifts", lane.downshifts)
+        .raw("upshifts", lane.upshifts)
+        .str("final_mode", lane.final_mode)
+        .obj("phases", phases)
 }
 
 fn main() {
-    let check = match std::env::args().nth(1).as_deref() {
-        Some("--check") => true,
-        None => false,
-        Some(other) => panic!("unknown flag {other}"),
-    };
+    let cli = Cli::parse(&[]);
 
     eprintln!(
-        "# bench_adapt: {KEYS} keys, {SOCKETS} synthetic sockets x {LOGS} logs, phases \
-         read/write/ascending/churn, remote line = {REMOTE_COST}x local, median of {TRIALS}"
+        "# bench_adapt: {KEYS} keys, {} synthetic sockets x {LOGS} logs, phases \
+         read/write/ascending/churn, remote line = {REMOTE_COST}x local, median of {TRIALS}",
+        SOCKETS.0
     );
 
-    const LANES: [LaneKind; 3] = [
-        LaneKind::Adaptive,
-        LaneKind::StaticReplicated,
-        LaneKind::StaticSingle,
-    ];
     // Per trial, rotate the lane order so no lane systematically runs on
     // a warmed allocator.
+    let trials = gate::paired::<_, 3>(TRIALS, run_lane);
     let mut per_phase_ratios: Vec<Vec<f64>> = vec![Vec::new(); PHASES.len()];
     let mut overall_ratios: Vec<f64> = Vec::new();
-    let mut last: Option<Vec<LaneRun>> = None;
-    for trial in 0..TRIALS {
-        let mut runs: Vec<LaneRun> = Vec::new();
-        for i in 0..LANES.len() {
-            runs.push(run_lane(LANES[(trial + i) % LANES.len()], trial));
-        }
-        runs.sort_by_key(|r| LANES.iter().position(|l| *l == r.kind).unwrap());
-        let [adaptive, replicated, single] = &runs[..] else { unreachable!() };
+    for (trial, [adaptive, replicated, single]) in trials.iter().enumerate() {
         // The sequence forces both transitions: the all-write preload
         // downshifts, the read-heavy settle slice upshifts, and the
         // write-heavy settle slice downshifts again.
@@ -461,70 +292,42 @@ fn main() {
             adaptive.downshifts, adaptive.upshifts, adaptive.final_mode,
         );
         overall_ratios.push(overall);
-        last = Some(runs);
     }
 
-    let phase_ratio: Vec<f64> = per_phase_ratios.into_iter().map(median).collect();
-    let overall_ratio = median(overall_ratios);
-    eprintln!(
-        "[gate] per-phase vs best static {:?} (min {MIN_VS_BEST}), overall vs worst static \
-         {overall_ratio:.2}x (min {MIN_VS_WORST})",
-        phase_ratio.iter().map(|r| (r * 100.0).round() / 100.0).collect::<Vec<_>>(),
-    );
+    let phase_ratio: Vec<f64> = per_phase_ratios.into_iter().map(gate::median).collect();
+    let overall_ratio = gate::median(overall_ratios);
 
-    let runs = last.expect("TRIALS > 0");
-    let phase_ratio_json = PHASES
+    let last = trials.last().expect("TRIALS > 0");
+    let lanes = LANES
         .iter()
-        .zip(&phase_ratio)
-        .map(|(name, r)| format!("    \"{name}\": {r:.2}"))
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        "{{\n  \"bench\": \"adapt_smoke\",\n  \"threads\": {SOCKETS},\n  \"sockets\": {SOCKETS},\n  \
-         \"logs\": {LOGS},\n  \"keys\": {KEYS},\n  \"zipf_alpha\": {ZIPF_ALPHA},\n  \
-         \"remote_cost_factor\": {REMOTE_COST},\n  \"window_ops\": 512,\n  \"lanes\": {{\n{}\n  }},\n  \
-         \"phase_ratio_vs_best_static\": {{\n{phase_ratio_json}\n  }},\n  \
-         \"overall_ratio_vs_worst_static\": {overall_ratio:.2}\n}}\n",
-        runs.iter().map(lane_json).collect::<Vec<_>>().join(",\n"),
-    );
-
-    let out = std::env::var("BENCH_OUT").map(PathBuf::from).unwrap_or_else(|_| {
-        let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-        manifest
-            .parent()
-            .and_then(|p| p.parent())
-            .unwrap_or(&manifest)
-            .join("BENCH_10.json")
-    });
-    let mut failed = false;
-    match std::fs::write(&out, &json) {
-        Ok(()) => eprintln!("wrote {}", out.display()),
-        Err(e) => {
-            eprintln!("FAIL: could not write {}: {e}", out.display());
-            failed = true;
-        }
+        .zip(last)
+        .fold(Json::new(), |j, (name, run)| j.obj(*name, lane_json(run)));
+    let mut ratios = Json::new();
+    let mut gates = Vec::new();
+    for (name, r) in PHASES.iter().zip(&phase_ratio) {
+        ratios = ratios.num(*name, *r, 2);
+        gates.push(Gate::at_least(
+            format!("{name} adaptive / best static"),
+            *r,
+            MIN_VS_BEST,
+        ));
     }
-    print!("{json}");
-
-    if check {
-        for (name, r) in PHASES.iter().zip(&phase_ratio) {
-            if *r < MIN_VS_BEST {
-                eprintln!(
-                    "FAIL: adaptive moves only {r:.2}x the best static policy's modeled \
-                     throughput in the {name} phase (min {MIN_VS_BEST:.2}x)"
-                );
-                failed = true;
-            }
-        }
-        if overall_ratio < MIN_VS_WORST {
-            eprintln!(
-                "FAIL: adaptive beats the worst static policy by only {overall_ratio:.2}x \
-                 over the phase sequence (min {MIN_VS_WORST:.2}x)"
-            );
-            failed = true;
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    gates.push(Gate::at_least(
+        "overall adaptive / worst static",
+        overall_ratio,
+        MIN_VS_WORST,
+    ));
+    let json = Json::new()
+        .str("bench", "adapt_smoke")
+        .raw("threads", SOCKETS.0)
+        .raw("sockets", SOCKETS.0)
+        .raw("logs", LOGS)
+        .raw("keys", KEYS)
+        .raw("zipf_alpha", ZIPF_ALPHA)
+        .raw("remote_cost_factor", REMOTE_COST)
+        .raw("window_ops", 512)
+        .obj("lanes", lanes)
+        .obj("phase_ratio_vs_best_static", ratios)
+        .num("overall_ratio_vs_worst_static", overall_ratio, 2);
+    gate::finish("BENCH_10.json", &json, &gates, cli.check);
 }

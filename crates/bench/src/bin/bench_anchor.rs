@@ -35,11 +35,11 @@
 //! they hold on noisy shared runners. `--sweep` prints the
 //! split-point/merge-threshold policy table for EXPERIMENTS.md.
 
+use bench::gate::{self, key, Cli, Gate, Json};
 use instrument::{AccessStats, ThreadCtx};
 use skipgraph::{
     BatchConfig, BatchOp, BatchedLayeredMap, BlockPolicy, BlockedSkipMap, GraphConfig, LayeredMap,
 };
-use std::path::PathBuf;
 use std::time::Instant;
 
 /// Preloaded keys per lane (the read region, upper key half).
@@ -64,10 +64,7 @@ const MIN_OPS_RATIO: f64 = 1.25;
 const MAX_NODES_RATIO: f64 = 0.5;
 const MIN_BULK_OCCUPANCY: f64 = 0.75;
 
-/// Key `i`, scattered uniformly (odd multiplier: a bijection on `u64`).
-fn key(i: u64) -> u64 {
-    i.wrapping_mul(0x9E37_79B1_85EB_CA87)
-}
+type Batches = Vec<Vec<BatchOp<u64, u64>>>;
 
 fn xs(x: &mut u64) -> u64 {
     *x ^= *x << 13;
@@ -89,66 +86,58 @@ fn config() -> GraphConfig {
         .chunk_capacity(CHUNK)
 }
 
-enum Map {
-    /// Key-granular baseline: the flat-combining layered map (per-key
-    /// hint chain in its combined runs).
-    KeyHint(BatchedLayeredMap<u64, u64>),
-    /// Anchor-granular lane: blocked map, sorted runs resolved per block.
-    Anchor(BlockedSkipMap<u64, u64>),
+/// Inserts the read region (`TOP | key(i)`) through thread 1.
+fn preload(insert: &mut dyn FnMut(u64, u64) -> bool) {
+    for i in 0..KEYS {
+        assert!(insert(TOP | key(i), i));
+    }
 }
 
-impl Map {
-    fn build(anchor: bool) -> Self {
-        if anchor {
-            Map::Anchor(BlockedSkipMap::new(config(), BLOCK_CAP))
-        } else {
-            Map::KeyHint(BatchedLayeredMap::new(config(), BatchConfig::uniform(2, 1)))
-        }
-    }
+/// The anchor lane, preloaded: blocked map, sorted runs resolved per
+/// block.
+fn anchor_map(policy: Option<BlockPolicy>) -> BlockedSkipMap<u64, u64> {
+    let map = match policy {
+        Some(p) => BlockedSkipMap::with_policy(config(), BLOCK_CAP, p),
+        None => BlockedSkipMap::new(config(), BLOCK_CAP),
+    };
+    let mut h = map.register(ThreadCtx::plain(1));
+    preload(&mut |k, v| h.insert(k, v));
+    drop(h);
+    map
+}
 
-    fn preload(&self) {
-        match self {
-            Map::KeyHint(m) => {
-                let mut h = m.register(ThreadCtx::plain(1));
-                for i in 0..KEYS {
-                    assert!(h.direct().insert(TOP | key(i), i));
-                }
-            }
-            Map::Anchor(m) => {
-                let mut h = m.register(ThreadCtx::plain(1));
-                for i in 0..KEYS {
-                    assert!(h.insert(TOP | key(i), i));
-                }
-            }
+/// Runs `batches` on thread 0 of a freshly preloaded lane (lane 0 the
+/// key-granular baseline — the flat-combining layered map with a per-key
+/// hint chain in its combined runs — lane 1 the anchor lane), returning
+/// ops/s.
+fn run_batches(anchor: bool, batches: Batches) -> f64 {
+    let ops = (batches.len() * BATCH) as f64;
+    let begin;
+    if anchor {
+        let map = anchor_map(None);
+        begin = Instant::now();
+        let mut h = map.register(ThreadCtx::plain(0));
+        for b in batches {
+            h.execute_batch(b);
+        }
+    } else {
+        let map = BatchedLayeredMap::new(config(), BatchConfig::uniform(2, 1));
+        let mut h = map.register(ThreadCtx::plain(1));
+        preload(&mut |k, v| h.direct().insert(k, v));
+        drop(h);
+        begin = Instant::now();
+        let mut h = map.register(ThreadCtx::plain(0));
+        for b in batches {
+            h.execute_batch(b);
         }
     }
-
-    /// Runs the batch stream on thread 0, returning ops/s.
-    fn run_batches(&self, batches: Vec<Vec<BatchOp<u64, u64>>>) -> f64 {
-        let ops = (batches.len() * BATCH) as f64;
-        let begin = Instant::now();
-        match self {
-            Map::KeyHint(m) => {
-                let mut h = m.register(ThreadCtx::plain(0));
-                for b in batches {
-                    h.execute_batch(b);
-                }
-            }
-            Map::Anchor(m) => {
-                let mut h = m.register(ThreadCtx::plain(0));
-                for b in batches {
-                    h.execute_batch(b);
-                }
-            }
-        }
-        ops / begin.elapsed().as_secs_f64()
-    }
+    ops / begin.elapsed().as_secs_f64()
 }
 
 /// Fresh-load batch: half lookups of the preloaded (upper) region, half
 /// inserts of ascending fresh (lower) keys. Sorting inside the combiner
 /// turns the inserts into one maximal ascending run per batch.
-fn fresh_batches(seed: u64) -> Vec<Vec<BatchOp<u64, u64>>> {
+fn fresh_batches(seed: u64) -> Batches {
     let mut x = seed | 1;
     let mut serial = 0u64;
     (0..BATCHES)
@@ -170,7 +159,7 @@ fn fresh_batches(seed: u64) -> Vec<Vec<BatchOp<u64, u64>>> {
 /// Windowed-churn batch: every op drawn from a `WINDOW`-wide slice of
 /// the preloaded keys in sorted order — 50% lookups, 25% removes, 25%
 /// re-inserts, so membership churns but the population stays put.
-fn churn_batches(sorted: &[u64], seed: u64) -> Vec<Vec<BatchOp<u64, u64>>> {
+fn churn_batches(sorted: &[u64], seed: u64) -> Batches {
     let mut x = seed | 1;
     (0..BATCHES)
         .map(|_| {
@@ -189,36 +178,18 @@ fn churn_batches(sorted: &[u64], seed: u64) -> Vec<Vec<BatchOp<u64, u64>>> {
         .collect()
 }
 
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
-/// Paired trials with alternating lane order; returns (key, anchor)
-/// medians.
-fn timed_lanes(mk: &dyn Fn(u64) -> Vec<Vec<BatchOp<u64, u64>>>, label: &str) -> (f64, f64) {
-    let (mut ks, mut as_) = (Vec::new(), Vec::new());
-    for trial in 0..TRIALS {
-        let run = |anchor: bool| {
-            let map = Map::build(anchor);
-            map.preload();
-            map.run_batches(mk(trial as u64 + 1))
-        };
-        let (k, a) = if trial % 2 == 0 {
-            let k = run(false);
-            (k, run(true))
-        } else {
-            let a = run(true);
-            (run(false), a)
-        };
+/// Paired trials of one batch stream; returns (key, anchor) medians.
+fn timed_lanes(mk: &dyn Fn(u64) -> Batches, label: &str) -> [f64; 2] {
+    let pairs = gate::paired::<_, 2>(TRIALS, |lane, trial| {
+        run_batches(lane == 1, mk(trial as u64 + 1))
+    });
+    for (trial, [k, a]) in pairs.iter().enumerate() {
         eprintln!(
             "  [{label}] trial {trial}: key_hint {k:>12.0} ops/s, anchor {a:>12.0} ops/s ({:.2}x)",
             a / k
         );
-        ks.push(k);
-        as_.push(a);
     }
-    (median(ks), median(as_))
+    [0, 1].map(|lane| gate::median(pairs.iter().map(|p| p[lane])))
 }
 
 /// Instrumented hit pass: warm the handle's cache over a
@@ -241,25 +212,16 @@ fn nodes_per_hit(ws: &[u64], anchor: bool) -> f64 {
         (t.traversed - before.traversed) as f64 / (t.searches - before.searches).max(1) as f64
     };
     if anchor {
-        let map = BlockedSkipMap::<u64, u64>::new(config(), BLOCK_CAP);
-        {
-            let mut h = map.register(ThreadCtx::plain(1));
-            for i in 0..KEYS {
-                assert!(h.insert(TOP | key(i), i));
-            }
-        }
+        let map = anchor_map(None);
         let mut h = map.register(ctx);
         delta(&mut |k| {
             h.get(k);
         })
     } else {
         let map: LayeredMap<u64, u64> = LayeredMap::new(config());
-        {
-            let mut h = map.register(ThreadCtx::plain(1));
-            for i in 0..KEYS {
-                assert!(h.insert(TOP | key(i), i));
-            }
-        }
+        let mut h = map.register(ThreadCtx::plain(1));
+        preload(&mut |k, v| h.insert(k, v));
+        drop(h);
         let mut h = map.register(ctx);
         delta(&mut |k| {
             h.get(k);
@@ -270,13 +232,7 @@ fn nodes_per_hit(ws: &[u64], anchor: bool) -> f64 {
 /// Instrumented fresh-load pass on the anchor lane: bulk-fill occupancy
 /// and grouping width from the thread counters.
 fn bulk_metrics() -> (f64, f64, u64, u64) {
-    let map = BlockedSkipMap::<u64, u64>::new(config(), BLOCK_CAP);
-    {
-        let mut h = map.register(ThreadCtx::plain(1));
-        for i in 0..KEYS {
-            assert!(h.insert(TOP | key(i), i));
-        }
-    }
+    let map = anchor_map(None);
     let stats = AccessStats::new(1);
     let mut h = map.register(ThreadCtx::recording(0, stats.clone()));
     for b in fresh_batches(7) {
@@ -290,47 +246,26 @@ fn bulk_metrics() -> (f64, f64, u64, u64) {
 }
 
 /// Split-point x merge-threshold policy sweep (windowed churn, one trial
-/// per cell): the EXPERIMENTS.md table.
+/// per cell): the EXPERIMENTS.md table. Each cell times the churn stream
+/// on one map and reports the post-churn shape of the same map.
 fn sweep(sorted: &[u64]) {
     println!("split_left_pct | merge_threshold | ops/s | anchors | occupancy | bytes/key");
     for pct in [25u8, 50, 75] {
         for merge in [0usize, 1, 2] {
-            let map = BlockedSkipMap::<u64, u64>::with_policy(
-                config(),
-                BLOCK_CAP,
-                BlockPolicy {
-                    split_left_pct: pct,
-                    merge_threshold: merge,
-                    fill_target: BLOCK_CAP,
-                },
-            );
-            {
-                let mut h = map.register(ThreadCtx::plain(1));
-                for i in 0..KEYS {
-                    assert!(h.insert(TOP | key(i), i));
-                }
+            let map = anchor_map(Some(BlockPolicy {
+                split_left_pct: pct,
+                merge_threshold: merge,
+                fill_target: BLOCK_CAP,
+            }));
+            let batches = churn_batches(sorted, 3);
+            let ops = (batches.len() * BATCH) as f64;
+            let begin = Instant::now();
+            let mut h = map.register(ThreadCtx::plain(0));
+            for b in batches {
+                h.execute_batch(b);
             }
-            let ops = Map::Anchor(map).run_batches(churn_batches(sorted, 3));
-            // `run_batches` consumed the map; rebuild for the structure
-            // stats so every cell reports post-churn shape.
-            let map = BlockedSkipMap::<u64, u64>::with_policy(
-                config(),
-                BLOCK_CAP,
-                BlockPolicy {
-                    split_left_pct: pct,
-                    merge_threshold: merge,
-                    fill_target: BLOCK_CAP,
-                },
-            );
-            {
-                let mut h = map.register(ThreadCtx::plain(1));
-                for i in 0..KEYS {
-                    assert!(h.insert(TOP | key(i), i));
-                }
-                for b in churn_batches(sorted, 3) {
-                    h.execute_batch(b);
-                }
-            }
+            let ops = ops / begin.elapsed().as_secs_f64();
+            drop(h);
             let ctx = ThreadCtx::plain(0);
             map.shared().reclaim_flush(&ctx);
             let s = map.stats(&ctx);
@@ -344,20 +279,11 @@ fn sweep(sorted: &[u64]) {
 }
 
 fn main() {
-    let mut check = false;
-    let mut do_sweep = false;
-    for flag in std::env::args().skip(1) {
-        match flag.as_str() {
-            "--check" => check = true,
-            "--sweep" => do_sweep = true,
-            other => panic!("unknown flag {other}"),
-        }
-    }
-
+    let cli = Cli::parse(&["--sweep"]);
     let mut sorted: Vec<u64> = (0..KEYS).map(|i| TOP | key(i)).collect();
     sorted.sort_unstable();
 
-    if do_sweep {
+    if cli.sweep {
         sweep(&sorted);
         return;
     }
@@ -367,89 +293,72 @@ fn main() {
          ops, median of {TRIALS}"
     );
 
-    let (fresh_key, fresh_anchor) = timed_lanes(&fresh_batches, "fresh-load");
-    let sorted_ref = &sorted;
-    let (churn_key, churn_anchor) =
-        timed_lanes(&move |s| churn_batches(sorted_ref, s), "windowed-churn");
+    let fresh = timed_lanes(&fresh_batches, "fresh-load");
+    let churn = timed_lanes(&|s| churn_batches(&sorted, s), "windowed-churn");
     let ws = &sorted[sorted.len() / 2..sorted.len() / 2 + WS];
-    let (key_nps, anchor_nps) = (nodes_per_hit(ws, false), nodes_per_hit(ws, true));
+    let nps = [nodes_per_hit(ws, false), nodes_per_hit(ws, true)];
     let (occupancy, width, bulk_blocks, bulk_entries) = bulk_metrics();
 
-    let fresh_ratio = fresh_anchor / fresh_key;
-    let churn_ratio = churn_anchor / churn_key;
-    let nodes_ratio = anchor_nps / key_nps;
+    let fresh_ratio = fresh[1] / fresh[0];
+    let churn_ratio = churn[1] / churn[0];
+    let nodes_ratio = nps[1] / nps[0];
     eprintln!(
-        "[fresh-load]     key_hint {fresh_key:>12.0} ops/s, anchor {fresh_anchor:>12.0} ops/s \
-         ({fresh_ratio:.2}x, min {MIN_OPS_RATIO})"
+        "[fresh-load]     key_hint {:>12.0} ops/s, anchor {:>12.0} ops/s ({fresh_ratio:.2}x)",
+        fresh[0], fresh[1]
     );
     eprintln!(
-        "[windowed-churn] key_hint {churn_key:>12.0} ops/s, anchor {churn_anchor:>12.0} ops/s \
-         ({churn_ratio:.2}x, informational)"
+        "[windowed-churn] key_hint {:>12.0} ops/s, anchor {:>12.0} ops/s ({churn_ratio:.2}x, \
+         informational)",
+        churn[0], churn[1]
     );
     eprintln!(
-        "[hit pass] key_hint {key_nps:.2} nodes/search, anchor {anchor_nps:.2} \
-         ({nodes_ratio:.2}x, max {MAX_NODES_RATIO})"
+        "[hit pass] key_hint {:.2} nodes/search, anchor {:.2}",
+        nps[0], nps[1]
     );
     eprintln!(
-        "[bulk] occupancy {occupancy:.2} of fill target (min {MIN_BULK_OCCUPANCY}), mean group \
-         width {width:.1} ops, {bulk_blocks} blocks / {bulk_entries} entries"
+        "[bulk] mean group width {width:.1} ops, {bulk_blocks} blocks / {bulk_entries} entries"
     );
 
-    let json = format!(
-        "{{\n  \"bench\": \"anchor_granularity_smoke\",\n  \"keys\": {KEYS},\n  \
-         \"block_cap\": {BLOCK_CAP},\n  \"batches\": {BATCHES},\n  \"batch\": {BATCH},\n  \
-         \"lanes\": {{\n    \"key_hint\": {{\n      \"fresh_ops_per_s\": {fresh_key:.0},\n      \
-         \"churn_ops_per_s\": {churn_key:.0},\n      \"hit_nodes_per_search\": {key_nps:.2}\n    \
-         }},\n    \"anchor\": {{\n      \"fresh_ops_per_s\": {fresh_anchor:.0},\n      \
-         \"churn_ops_per_s\": {churn_anchor:.0},\n      \"hit_nodes_per_search\": \
-         {anchor_nps:.2}\n    }}\n  }},\n  \"fresh_ops_ratio\": {fresh_ratio:.2},\n  \
-         \"churn_ops_ratio\": {churn_ratio:.2},\n  \"hit_nodes_ratio\": {nodes_ratio:.2},\n  \
-         \"bulk_fill_occupancy\": {occupancy:.2},\n  \"mean_group_width\": {width:.1},\n  \
-         \"bulk_blocks\": {bulk_blocks},\n  \"bulk_entries\": {bulk_entries}\n}}\n"
-    );
-
-    let out = std::env::var("BENCH_OUT").map(PathBuf::from).unwrap_or_else(|_| {
-        let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-        manifest
-            .parent()
-            .and_then(|p| p.parent())
-            .unwrap_or(&manifest)
-            .join("BENCH_9.json")
-    });
-    let mut failed = false;
-    match std::fs::write(&out, &json) {
-        Ok(()) => eprintln!("wrote {}", out.display()),
-        Err(e) => {
-            eprintln!("FAIL: could not write {}: {e}", out.display());
-            failed = true;
-        }
+    let mut lanes = Json::new();
+    for (i, name) in ["key_hint", "anchor"].into_iter().enumerate() {
+        lanes = lanes.obj(
+            name,
+            Json::new()
+                .num("fresh_ops_per_s", fresh[i], 0)
+                .num("churn_ops_per_s", churn[i], 0)
+                .num("hit_nodes_per_search", nps[i], 2),
+        );
     }
-    print!("{json}");
-
-    if check {
-        if fresh_ratio < MIN_OPS_RATIO {
-            eprintln!(
-                "FAIL: anchor lane moved {fresh_ratio:.2}x the key-granular fresh-load ops/s \
-                 (min {MIN_OPS_RATIO})"
-            );
-            failed = true;
-        }
-        if nodes_ratio > MAX_NODES_RATIO {
-            eprintln!(
-                "FAIL: anchor hit pass visits {nodes_ratio:.2}x the key lane's nodes per search \
-                 (max {MAX_NODES_RATIO})"
-            );
-            failed = true;
-        }
-        if occupancy < MIN_BULK_OCCUPANCY {
-            eprintln!(
-                "FAIL: bulk-filled blocks born at {occupancy:.2} of the fill target \
-                 (min {MIN_BULK_OCCUPANCY})"
-            );
-            failed = true;
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    let json = Json::new()
+        .str("bench", "anchor_granularity_smoke")
+        .raw("keys", KEYS)
+        .raw("block_cap", BLOCK_CAP)
+        .raw("batches", BATCHES)
+        .raw("batch", BATCH)
+        .obj("lanes", lanes)
+        .num("fresh_ops_ratio", fresh_ratio, 2)
+        .num("churn_ops_ratio", churn_ratio, 2)
+        .num("hit_nodes_ratio", nodes_ratio, 2)
+        .num("bulk_fill_occupancy", occupancy, 2)
+        .num("mean_group_width", width, 1)
+        .raw("bulk_blocks", bulk_blocks)
+        .raw("bulk_entries", bulk_entries);
+    let gates = [
+        Gate::at_least(
+            "fresh-load ops/s anchor / key_hint",
+            fresh_ratio,
+            MIN_OPS_RATIO,
+        ),
+        Gate::at_most(
+            "hit-pass nodes/search anchor / key_hint",
+            nodes_ratio,
+            MAX_NODES_RATIO,
+        ),
+        Gate::at_least(
+            "bulk-fill occupancy of fill target",
+            occupancy,
+            MIN_BULK_OCCUPANCY,
+        ),
+    ];
+    gate::finish("BENCH_9.json", &json, &gates, cli.check);
 }

@@ -36,11 +36,11 @@
 //! unbatched *and* the batched path cuts nodes/search by ≥ 25% — the CI
 //! `bench-smoke` batch lane runs this.
 
-use instrument::{AccessStats, ThreadCtx};
+use bench::gate::{self, Cli, Gate, Json};
+use instrument::{AccessStats, ThreadCounterSnapshot, ThreadCtx};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use skipgraph::{BatchConfig, BatchOp, BatchedLayeredMap, GraphConfig, LayeredMap};
-use std::path::PathBuf;
+use skipgraph::{BatchConfig, BatchOp, BatchedLayeredMap, GraphConfig, LayeredHandle, LayeredMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -83,6 +83,25 @@ fn preload_target() -> u64 {
     (KEY_SPACE as f64 * PRELOAD_FRACTION) as u64
 }
 
+/// The measured mix: 50% updates as matched insert/remove churn (an
+/// update removes the key the previous update inserted), 50%
+/// membership probes.
+fn next_op(zipf: &Zipf, rng: &mut SmallRng, last_inserted: &mut Option<u64>) -> BatchOp<u64, u64> {
+    let p: f64 = rng.gen();
+    if p < UPDATE_RATIO {
+        match last_inserted.take() {
+            None => {
+                let k = draw_key(zipf, rng);
+                *last_inserted = Some(k);
+                BatchOp::Insert(k, k)
+            }
+            Some(k) => BatchOp::Remove(k),
+        }
+    } else {
+        BatchOp::Get(draw_key(zipf, rng))
+    }
+}
+
 /// One trial of either mode. Every thread preloads (Zipf-drawn inserts
 /// until the shared cardinality target, warming its own local structures
 /// exactly as the per-op smoke does), then runs the measured mix until the
@@ -103,8 +122,7 @@ fn run_trial(batched: bool, sparse: bool, stats: Option<&Arc<AccessStats>>) -> u
     std::thread::scope(|s| {
         (0..THREADS as u16)
             .map(|t| {
-                let preloaded = &preloaded;
-                let barrier = &barrier;
+                let (preloaded, barrier) = (&preloaded, &barrier);
                 let ctx = match stats {
                     Some(st) => ThreadCtx::recording(t, Arc::clone(st)),
                     None => ThreadCtx::plain(t),
@@ -114,41 +132,9 @@ fn run_trial(batched: bool, sparse: bool, stats: Option<&Arc<AccessStats>>) -> u
                     let mut rng = SmallRng::seed_from_u64(0x5eed ^ ((t as u64 + 1) * 0x9E37));
                     let mut ops = 0u64;
                     let mut last_inserted: Option<u64> = None;
-                    if let Some(m) = combined {
-                        let mut h = m.register(ctx);
-                        // Preload through the direct per-thread path in both
-                        // modes, so worker-local structures start equally
-                        // warm.
-                        while preloaded.load(Ordering::Relaxed) < preload_target() {
-                            let k = draw_key(&zipf, &mut rng);
-                            if h.direct().insert(k, k) {
-                                preloaded.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        barrier.wait();
-                        let deadline = Instant::now() + TRIAL_LEN;
-                        while Instant::now() < deadline {
-                            let batch: Vec<BatchOp<u64, u64>> = (0..BATCH)
-                                .map(|_| {
-                                    let p: f64 = rng.gen();
-                                    if p < UPDATE_RATIO {
-                                        match last_inserted.take() {
-                                            None => {
-                                                let k = draw_key(&zipf, &mut rng);
-                                                last_inserted = Some(k);
-                                                BatchOp::Insert(k, k)
-                                            }
-                                            Some(k) => BatchOp::Remove(k),
-                                        }
-                                    } else {
-                                        BatchOp::Get(draw_key(&zipf, &mut rng))
-                                    }
-                                })
-                                .collect();
-                            ops += h.execute_batch(batch).len() as u64;
-                        }
-                    } else {
-                        let mut h = plain.unwrap().register(ctx);
+                    // Preload through the direct per-thread path in both
+                    // modes, so worker-local structures start equally warm.
+                    let mut preload = |h: &mut LayeredHandle<'_, u64, u64>| {
                         while preloaded.load(Ordering::Relaxed) < preload_target() {
                             let k = draw_key(&zipf, &mut rng);
                             if h.insert(k, k) {
@@ -156,25 +142,35 @@ fn run_trial(batched: bool, sparse: bool, stats: Option<&Arc<AccessStats>>) -> u
                             }
                         }
                         barrier.wait();
-                        let deadline = Instant::now() + TRIAL_LEN;
+                        Instant::now() + TRIAL_LEN
+                    };
+                    if let Some(m) = combined {
+                        let mut h = m.register(ctx);
+                        let deadline = preload(h.direct());
+                        while Instant::now() < deadline {
+                            let batch = (0..BATCH)
+                                .map(|_| next_op(&zipf, &mut rng, &mut last_inserted))
+                                .collect();
+                            ops += h.execute_batch(batch).len() as u64;
+                        }
+                    } else {
+                        let mut h = plain.unwrap().register(ctx);
+                        let deadline = preload(&mut h);
                         while Instant::now() < deadline {
                             // Check the clock once per 32 ops, not per op.
                             for _ in 0..32 {
-                                let p: f64 = rng.gen();
-                                if p < UPDATE_RATIO {
-                                    match last_inserted.take() {
-                                        None => {
-                                            let k = draw_key(&zipf, &mut rng);
-                                            if h.insert(k, k) {
-                                                last_inserted = Some(k);
-                                            }
-                                        }
-                                        Some(k) => {
-                                            let _ = h.remove(&k);
+                                match next_op(&zipf, &mut rng, &mut last_inserted) {
+                                    BatchOp::Insert(k, v) => {
+                                        if !h.insert(k, v) {
+                                            last_inserted = None;
                                         }
                                     }
-                                } else {
-                                    let _ = h.contains(&draw_key(&zipf, &mut rng));
+                                    BatchOp::Remove(k) => {
+                                        let _ = h.remove(&k);
+                                    }
+                                    BatchOp::Get(k) => {
+                                        let _ = h.contains(&k);
+                                    }
                                 }
                                 ops += 1;
                             }
@@ -190,161 +186,93 @@ fn run_trial(batched: bool, sparse: bool, stats: Option<&Arc<AccessStats>>) -> u
     })
 }
 
-struct Mode {
-    ops_per_s: f64,
-    nodes_per_search: f64,
-}
-
-struct Lane {
-    name: &'static str,
-    unbatched: Mode,
-    batched: Mode,
-    mean_batch: f64,
-    hint_distance: f64,
-    speedup: f64,
-    nodes_reduction: f64,
-}
-
-fn median_ops_per_s(run: impl Fn() -> u64) -> f64 {
-    let mut samples: Vec<f64> = (0..TRIALS)
-        .map(|_| run() as f64 / TRIAL_LEN.as_secs_f64())
-        .collect();
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
-fn run_lane(name: &'static str, sparse: bool) -> Lane {
-    let unbatched = {
-        let ops_per_s = median_ops_per_s(|| run_trial(false, sparse, None));
-        let stats = AccessStats::new(THREADS);
-        let _ = run_trial(false, sparse, Some(&stats));
-        let t = stats.totals();
-        Mode {
-            ops_per_s,
-            nodes_per_search: t.traversed as f64 / t.searches.max(1) as f64,
-        }
-    };
-    eprintln!(
-        "[{name}] unbatched: {:>12.0} ops/s, {:>6.2} nodes/search",
-        unbatched.ops_per_s, unbatched.nodes_per_search
+/// One mode of one lane: median ops/s over `TRIALS` fresh trials, then
+/// one instrumented companion trial's counters (recording slows the
+/// trial down, so it does not contribute to ops/s).
+fn run_mode(batched: bool, sparse: bool) -> (f64, ThreadCounterSnapshot) {
+    let ops_per_s = gate::median(
+        (0..TRIALS).map(|_| run_trial(batched, sparse, None) as f64 / TRIAL_LEN.as_secs_f64()),
     );
+    let stats = AccessStats::new(THREADS);
+    let _ = run_trial(batched, sparse, Some(&stats));
+    (ops_per_s, stats.totals())
+}
 
-    let (batched, mean_batch, hint_distance) = {
-        let ops_per_s = median_ops_per_s(|| run_trial(true, sparse, None));
-        let stats = AccessStats::new(THREADS);
-        let _ = run_trial(true, sparse, Some(&stats));
-        let t = stats.totals();
-        (
-            Mode {
-                ops_per_s,
-                nodes_per_search: t.traversed as f64 / t.searches.max(1) as f64,
-            },
-            t.batched_ops as f64 / t.batches.max(1) as f64,
-            t.hinted_traversed as f64 / t.hinted_searches.max(1) as f64,
-        )
-    };
+fn nodes_per_search(t: &ThreadCounterSnapshot) -> f64 {
+    t.traversed as f64 / t.searches.max(1) as f64
+}
+
+/// Runs both modes of one lane, lane-at-a-time; returns the lane's JSON
+/// row and its (speedup, nodes/search reduction).
+fn run_lane(name: &str, sparse: bool) -> (Json, f64, f64) {
+    let (un_ops, un) = run_mode(false, sparse);
     eprintln!(
-        "[{name}]   batched: {:>12.0} ops/s, {:>6.2} nodes/search, mean batch {:.1}, \
-         hint-hit distance {:.2}",
-        batched.ops_per_s, batched.nodes_per_search, mean_batch, hint_distance
+        "[{name}] unbatched: {un_ops:>12.0} ops/s, {:>6.2} nodes/search",
+        nodes_per_search(&un)
     );
-
-    let speedup = batched.ops_per_s / unbatched.ops_per_s;
-    let nodes_reduction = 1.0 - batched.nodes_per_search / unbatched.nodes_per_search;
+    let (ba_ops, ba) = run_mode(true, sparse);
+    let mean_batch = ba.batched_ops as f64 / ba.batches.max(1) as f64;
+    let hint_distance = ba.hinted_traversed as f64 / ba.hinted_searches.max(1) as f64;
+    eprintln!(
+        "[{name}]   batched: {ba_ops:>12.0} ops/s, {:>6.2} nodes/search, mean batch \
+         {mean_batch:.1}, hint-hit distance {hint_distance:.2}",
+        nodes_per_search(&ba)
+    );
+    let speedup = ba_ops / un_ops;
+    let nodes_reduction = 1.0 - nodes_per_search(&ba) / nodes_per_search(&un);
     eprintln!(
         "[{name}] speedup {speedup:.2}x, nodes/search reduction {:.0}%",
         nodes_reduction * 100.0
     );
-    Lane {
-        name,
-        unbatched,
-        batched,
-        mean_batch,
-        hint_distance,
-        speedup,
-        nodes_reduction,
-    }
-}
-
-fn lane_json(l: &Lane) -> String {
-    format!(
-        "    \"{}\": {{\n      \"unbatched\": {{ \"ops_per_s\": {:.0}, \"nodes_per_search\": {:.2} }},\n      \
-         \"batched\": {{ \"ops_per_s\": {:.0}, \"nodes_per_search\": {:.2}, \
-         \"mean_batch\": {:.1}, \"hint_hit_distance\": {:.2} }},\n      \
-         \"speedup\": {:.2},\n      \"nodes_per_search_reduction\": {:.2}\n    }}",
-        l.name,
-        l.unbatched.ops_per_s,
-        l.unbatched.nodes_per_search,
-        l.batched.ops_per_s,
-        l.batched.nodes_per_search,
-        l.mean_batch,
-        l.hint_distance,
-        l.speedup,
-        l.nodes_reduction,
-    )
+    let json = Json::new()
+        .obj(
+            "unbatched",
+            Json::new().num("ops_per_s", un_ops, 0).num(
+                "nodes_per_search",
+                nodes_per_search(&un),
+                2,
+            ),
+        )
+        .obj(
+            "batched",
+            Json::new()
+                .num("ops_per_s", ba_ops, 0)
+                .num("nodes_per_search", nodes_per_search(&ba), 2)
+                .num("mean_batch", mean_batch, 1)
+                .num("hint_hit_distance", hint_distance, 2),
+        )
+        .num("speedup", speedup, 2)
+        .num("nodes_per_search_reduction", nodes_reduction, 2);
+    (json, speedup, nodes_reduction)
 }
 
 fn main() {
-    let check = std::env::args().any(|a| a == "--check");
+    let cli = Cli::parse(&[]);
 
     eprintln!(
         "# bench_batch: mc-wh + zipf({ZIPF_ALPHA}), {THREADS} threads, batch {BATCH}, \
          median of {TRIALS} x {TRIAL_LEN:?}"
     );
 
-    let sparse = run_lane("sparse", true);
-    let lazy = run_lane("lazy", false);
-    let gate = &sparse;
+    let (sparse, speedup, nodes_reduction) = run_lane("sparse", true);
+    let (lazy, _, _) = run_lane("lazy", false);
 
-    let json = format!(
-        "{{\n  \"bench\": \"batch_combining_smoke\",\n  \"threads\": {THREADS},\n  \
-         \"zipf_alpha\": {ZIPF_ALPHA},\n  \"batch_size\": {BATCH},\n  \"lanes\": {{\n{},\n{}\n  }},\n  \
-         \"gate_lane\": \"{}\",\n  \"speedup\": {:.2},\n  \
-         \"nodes_per_search_reduction\": {:.2}\n}}\n",
-        lane_json(&sparse),
-        lane_json(&lazy),
-        gate.name,
-        gate.speedup,
-        gate.nodes_reduction,
-    );
-
-    let out = std::env::var("BENCH_OUT").map(PathBuf::from).unwrap_or_else(|_| {
-        let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-        manifest
-            .parent()
-            .and_then(|p| p.parent())
-            .unwrap_or(&manifest)
-            .join("BENCH_3.json")
-    });
-    let mut failed = false;
-    match std::fs::write(&out, &json) {
-        Ok(()) => eprintln!("wrote {}", out.display()),
-        Err(e) => {
-            eprintln!("FAIL: could not write {}: {e}", out.display());
-            failed = true;
-        }
-    }
-    print!("{json}");
-
-    if check {
-        if gate.speedup < MIN_SPEEDUP {
-            eprintln!(
-                "FAIL: [{}] batched speedup {:.2}x < required {MIN_SPEEDUP:.1}x",
-                gate.name, gate.speedup
-            );
-            failed = true;
-        }
-        if gate.nodes_reduction < MIN_NODES_REDUCTION {
-            eprintln!(
-                "FAIL: [{}] nodes/search reduction {:.0}% < required {:.0}%",
-                gate.name,
-                gate.nodes_reduction * 100.0,
-                MIN_NODES_REDUCTION * 100.0
-            );
-            failed = true;
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    let json = Json::new()
+        .str("bench", "batch_combining_smoke")
+        .raw("threads", THREADS)
+        .raw("zipf_alpha", ZIPF_ALPHA)
+        .raw("batch_size", BATCH)
+        .obj("lanes", Json::new().obj("sparse", sparse).obj("lazy", lazy))
+        .str("gate_lane", "sparse")
+        .num("speedup", speedup, 2)
+        .num("nodes_per_search_reduction", nodes_reduction, 2);
+    let gates = [
+        Gate::at_least("[sparse] batched speedup", speedup, MIN_SPEEDUP),
+        Gate::at_least(
+            "[sparse] nodes/search reduction",
+            nodes_reduction,
+            MIN_NODES_REDUCTION,
+        ),
+    ];
+    gate::finish("BENCH_3.json", &json, &gates, cli.check);
 }

@@ -38,11 +38,9 @@
 //! grace-period protocol's fences and free-list traffic stay in the
 //! noise. The CI `bench-smoke` churn lane runs this.
 
+use bench::gate::{self, Cli, Gate, Json};
 use instrument::ThreadCtx;
 use skipgraph::{GraphConfig, LayeredMap, MemoryStats};
-use std::path::PathBuf;
-use std::sync::Barrier;
-use std::time::Instant;
 
 /// Live keys per thread at steady state.
 const WINDOW: u64 = 8192;
@@ -57,15 +55,6 @@ const CHUNK: usize = 512;
 const TRIALS: usize = 9;
 const MAX_FOOTPRINT_RATIO: f64 = 1.5;
 const MIN_OPS_RATIO: f64 = 0.9;
-
-/// Worker count: the paper's 8-thread churn point, clamped to the
-/// machine so no thread is descheduled while pinned (module docs).
-fn thread_count() -> u64 {
-    std::thread::available_parallelism()
-        .map(|n| n.get() as u64)
-        .unwrap_or(1)
-        .clamp(1, 8)
-}
 
 /// Thread `t`'s `i`-th key: disjoint per-thread index ranges scattered
 /// uniformly over the key space (an odd multiplier is a bijection on
@@ -86,31 +75,16 @@ fn config(threads: u64, reclaim: bool) -> GraphConfig {
 /// the churn phase (2 operations per iteration) and the end state.
 fn run_trial(threads: u64, reclaim: bool) -> (f64, MemoryStats) {
     let map = LayeredMap::<u64, u64>::new(config(threads, reclaim));
-    // Workers + the timing thread: the main thread measures the wall
-    // clock between the start and finish barriers.
-    let start = Barrier::new(threads as usize + 1);
-    let done = Barrier::new(threads as usize + 1);
-    let elapsed = std::thread::scope(|s| {
-        for t in 0..threads {
-            let map = &map;
-            let (start, done) = (&start, &done);
-            s.spawn(move || {
-                let mut h = map.register(ThreadCtx::plain(t as u16));
-                for i in 0..WINDOW {
-                    assert!(h.insert(key(t, i), i));
-                }
-                start.wait();
-                for i in WINDOW..WINDOW + OPS {
-                    assert!(h.insert(key(t, i), i));
-                    assert!(h.remove(&key(t, i - WINDOW)));
-                }
-                done.wait();
-            });
+    let elapsed = gate::timed_threads(threads, |t, start| {
+        let mut h = map.register(ThreadCtx::plain(t as u16));
+        for i in 0..WINDOW {
+            assert!(h.insert(key(t, i), i));
         }
         start.wait();
-        let begin = Instant::now();
-        done.wait();
-        begin.elapsed()
+        for i in WINDOW..WINDOW + OPS {
+            assert!(h.insert(key(t, i), i));
+            assert!(h.remove(&key(t, i - WINDOW)));
+        }
     });
     let ctx = ThreadCtx::plain(0);
     // Handle pins quiesce periodically on their own; the final flush just
@@ -121,55 +95,8 @@ fn run_trial(threads: u64, reclaim: bool) -> (f64, MemoryStats) {
     (ops / elapsed.as_secs_f64(), stats)
 }
 
-struct Lane {
-    name: &'static str,
-    ops_per_s: f64,
-    stats: MemoryStats,
-    footprint_ratio: f64,
-}
-
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
-/// Runs the two lanes as back-to-back pairs and gates on the median of
-/// the per-pair throughput ratios: adjacent trials see the same
-/// background noise and frequency state, so pairing cancels drift that
-/// lane-at-a-time measurement would fold into the ratio. The order
-/// within a pair alternates between trials, so any systematic
-/// second-position penalty (cooling turbo, allocator state) debiases
-/// across the median instead of always charging the reclaiming lane.
-fn run_lanes(threads: u64) -> (Lane, Lane, f64) {
-    let (mut off_s, mut on_s, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
-    let (mut off_stats, mut on_stats) = (None, None);
-    for trial in 0..TRIALS {
-        let (off_ops, off_m, on_ops, on_m) = if trial % 2 == 0 {
-            let (off_ops, off_m) = run_trial(threads, false);
-            let (on_ops, on_m) = run_trial(threads, true);
-            (off_ops, off_m, on_ops, on_m)
-        } else {
-            let (on_ops, on_m) = run_trial(threads, true);
-            let (off_ops, off_m) = run_trial(threads, false);
-            (off_ops, off_m, on_ops, on_m)
-        };
-        eprintln!(
-            "  trial {trial}: baseline {off_ops:>12.0} ops/s, reclaiming {on_ops:>12.0} ops/s \
-             ({:.2}x)",
-            on_ops / off_ops
-        );
-        off_s.push(off_ops);
-        on_s.push(on_ops);
-        ratios.push(on_ops / off_ops);
-        off_stats = Some(off_m);
-        on_stats = Some(on_m);
-    }
-    let off = mk_lane("reclaim_off", median(off_s), off_stats.unwrap());
-    let on = mk_lane("reclaim_on", median(on_s), on_stats.unwrap());
-    (off, on, median(ratios))
-}
-
-fn mk_lane(name: &'static str, ops_per_s: f64, stats: MemoryStats) -> Lane {
+/// One lane's row: median throughput and the last trial's memory.
+fn lane_json(name: &str, ops_per_s: f64, stats: &MemoryStats) -> (f64, Json) {
     // The live set's own bytes, at this lane's measured mean node size:
     // the denominator of the plateau gate.
     let live_bytes = stats.live as f64 * stats.bytes_per_node();
@@ -186,102 +113,78 @@ fn mk_lane(name: &'static str, ops_per_s: f64, stats: MemoryStats) -> Lane {
         stats.limbo_nodes,
         stats.free_slots,
     );
-    Lane {
-        name,
-        ops_per_s,
-        stats,
-        footprint_ratio,
-    }
-}
-
-fn lane_json(l: &Lane) -> String {
-    format!(
-        "    \"{}\": {{\n      \"ops_per_s\": {:.0},\n      \"live\": {},\n      \
-         \"allocated\": {},\n      \"allocated_bytes\": {},\n      \
-         \"resident_bytes\": {},\n      \"footprint_ratio\": {:.2},\n      \
-         \"retired_nodes\": {},\n      \"recycled_slots\": {},\n      \
-         \"global_epoch\": {},\n      \"limbo_nodes\": {},\n      \
-         \"free_slots\": {},\n      \"free_bytes\": {}\n    }}",
-        l.name,
-        l.ops_per_s,
-        l.stats.live,
-        l.stats.allocated,
-        l.stats.allocated_bytes,
-        l.stats.resident_bytes,
-        l.footprint_ratio,
-        l.stats.retired_nodes,
-        l.stats.recycled_slots,
-        l.stats.global_epoch,
-        l.stats.limbo_nodes,
-        l.stats.free_slots,
-        l.stats.free_bytes,
-    )
+    let json = Json::new()
+        .num("ops_per_s", ops_per_s, 0)
+        .raw("live", stats.live)
+        .raw("allocated", stats.allocated)
+        .raw("allocated_bytes", stats.allocated_bytes)
+        .raw("resident_bytes", stats.resident_bytes)
+        .num("footprint_ratio", footprint_ratio, 2)
+        .raw("retired_nodes", stats.retired_nodes)
+        .raw("recycled_slots", stats.recycled_slots)
+        .raw("global_epoch", stats.global_epoch)
+        .raw("limbo_nodes", stats.limbo_nodes)
+        .raw("free_slots", stats.free_slots)
+        .raw("free_bytes", stats.free_bytes);
+    (footprint_ratio, json)
 }
 
 fn main() {
-    let check = std::env::args().any(|a| a == "--check");
-    let threads = thread_count();
+    let cli = Cli::parse(&[]);
+    let threads = gate::threads_up_to(8);
 
     eprintln!(
         "# bench_churn: windowed uniform churn, {threads} threads x ({WINDOW} window + {OPS} \
          iterations), median of {TRIALS}"
     );
 
-    let (off, on, ops_ratio) = run_lanes(threads);
-    eprintln!(
-        "[gate] reclaim_on footprint {:.2}x live (max {MAX_FOOTPRINT_RATIO}), throughput \
-         {:.2}x baseline (min {MIN_OPS_RATIO})",
-        on.footprint_ratio, ops_ratio
+    // Back-to-back pairs gated on the median per-pair throughput ratio:
+    // adjacent trials see the same background noise and frequency state,
+    // so pairing cancels drift that lane-at-a-time measurement would fold
+    // into the ratio.
+    let pairs = gate::paired::<_, 2>(TRIALS, |lane, _| run_trial(threads, lane == 1));
+    for (trial, [(off, _), (on, _)]) in pairs.iter().enumerate() {
+        eprintln!(
+            "  trial {trial}: baseline {off:>12.0} ops/s, reclaiming {on:>12.0} ops/s ({:.2}x)",
+            on / off
+        );
+    }
+    let ops_ratio = gate::median(pairs.iter().map(|[(off, _), (on, _)]| on / off));
+    let [(_, off_stats), (_, on_stats)] = &pairs[TRIALS - 1];
+    let (_, off) = lane_json(
+        "reclaim_off",
+        gate::median(pairs.iter().map(|p| p[0].0)),
+        off_stats,
+    );
+    let (footprint_ratio, on) = lane_json(
+        "reclaim_on",
+        gate::median(pairs.iter().map(|p| p[1].0)),
+        on_stats,
     );
 
-    let json = format!(
-        "{{\n  \"bench\": \"churn_reclamation_smoke\",\n  \"threads\": {threads},\n  \
-         \"window\": {WINDOW},\n  \"ops_per_thread\": {OPS},\n  \"lanes\": {{\n{},\n{}\n  }},\n  \
-         \"gate_lane\": \"reclaim_on\",\n  \"footprint_ratio\": {:.2},\n  \
-         \"ops_ratio_vs_never_free\": {:.2}\n}}\n",
-        lane_json(&off),
-        lane_json(&on),
-        on.footprint_ratio,
-        ops_ratio,
-    );
-
-    let out = std::env::var("BENCH_OUT").map(PathBuf::from).unwrap_or_else(|_| {
-        let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-        manifest
-            .parent()
-            .and_then(|p| p.parent())
-            .unwrap_or(&manifest)
-            .join("BENCH_5.json")
-    });
-    let mut failed = false;
-    match std::fs::write(&out, &json) {
-        Ok(()) => eprintln!("wrote {}", out.display()),
-        Err(e) => {
-            eprintln!("FAIL: could not write {}: {e}", out.display());
-            failed = true;
-        }
-    }
-    print!("{json}");
-
-    if check {
-        if on.footprint_ratio > MAX_FOOTPRINT_RATIO {
-            eprintln!(
-                "FAIL: [reclaim_on] mapped footprint {:.2}x live set > allowed \
-                 {MAX_FOOTPRINT_RATIO:.1}x (the footprint must plateau)",
-                on.footprint_ratio
-            );
-            failed = true;
-        }
-        if ops_ratio < MIN_OPS_RATIO {
-            eprintln!(
-                "FAIL: [reclaim_on] throughput {:.2}x of the never-free baseline < required \
-                 {MIN_OPS_RATIO:.1}x",
-                ops_ratio
-            );
-            failed = true;
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    let json = Json::new()
+        .str("bench", "churn_reclamation_smoke")
+        .raw("threads", threads)
+        .raw("window", WINDOW)
+        .raw("ops_per_thread", OPS)
+        .obj(
+            "lanes",
+            Json::new().obj("reclaim_off", off).obj("reclaim_on", on),
+        )
+        .str("gate_lane", "reclaim_on")
+        .num("footprint_ratio", footprint_ratio, 2)
+        .num("ops_ratio_vs_never_free", ops_ratio, 2);
+    let gates = [
+        Gate::at_most(
+            "reclaim_on mapped footprint / live set",
+            footprint_ratio,
+            MAX_FOOTPRINT_RATIO,
+        ),
+        Gate::at_least(
+            "reclaim_on throughput / never-free baseline",
+            ops_ratio,
+            MIN_OPS_RATIO,
+        ),
+    ];
+    gate::finish("BENCH_5.json", &json, &gates, cli.check);
 }

@@ -27,13 +27,11 @@
 //! the descent lane's. All gates compare medians from the same
 //! in-process run. The CI `bench-smoke` point lane runs this.
 
+use bench::gate::{self, key, Cli, Gate, Json};
 use instrument::{AccessStats, ThreadCtx};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use skipgraph::{GraphConfig, LayeredMap};
-use std::path::PathBuf;
-use std::sync::Barrier;
-use std::time::Instant;
 use synchro::Zipf;
 
 /// Preloaded keys: large enough that a descent costs real node hops.
@@ -54,80 +52,44 @@ const MIN_OPS_RATIO: f64 = 2.0;
 const MAX_NODES_PER_SEARCH: f64 = 2.0;
 const MIN_WRITE_RATIO: f64 = 0.95;
 
-fn thread_count() -> u64 {
-    std::thread::available_parallelism()
-        .map(|n| n.get() as u64)
-        .unwrap_or(1)
-        .clamp(1, 4)
-}
-
-/// Key `i`, scattered uniformly (odd multiplier: a bijection on `u64`).
-fn key(i: u64) -> u64 {
-    i.wrapping_mul(0x9E37_79B1_85EB_CA87)
-}
-
 /// Identical graph geometry on both lanes — full-height sparse towers,
 /// the descent lane's best configuration — so the lanes differ only in
-/// whether the shared index is installed.
+/// whether the shared index is installed. The keys are loaded
+/// round-robin across every registered slot (one extra slot for the
+/// preloader: measurement threads must start with cold thread-local
+/// hashtables). The preload handles are dropped before measurement
+/// begins — the handles the timed phases register are fresh, so their
+/// thread-local hashtables start cold and every read pays the shared
+/// path.
 fn build(threads: u64, indexed: bool) -> LayeredMap<u64, u64> {
-    // One extra registered slot for the preloader: measurement threads
-    // must start with cold thread-local hashtables.
     let config = GraphConfig::new(threads as usize + 1)
         .max_level(7)
         .sparse(true)
         .chunk_capacity(CHUNK)
         .hash_index(indexed);
-    LayeredMap::new(config)
-}
-
-/// Loads the keys round-robin across every registered slot: a node's
-/// upper-level list membership comes from its *inserter's* membership
-/// vector, so a single-slot preload would leave the other threads'
-/// constituent lists empty and degrade their descents to level-0 walks.
-/// The preload handles are dropped before measurement begins — the
-/// handles the timed phases register are fresh, so their thread-local
-/// hashtables start cold and every read pays the shared path.
-fn preload(map: &LayeredMap<u64, u64>, threads: u64) {
-    let slots = threads as usize + 1;
-    let mut handles: Vec<_> = (0..slots)
-        .map(|t| map.register(ThreadCtx::plain(t as u16)))
-        .collect();
-    for i in 0..KEYS {
-        assert!(handles[i as usize % slots].insert(key(i), i));
-    }
+    let map = LayeredMap::new(config);
+    gate::preload(&map, threads as usize + 1, KEYS);
+    map
 }
 
 /// The timed read-heavy phase: 90% Zipf point gets over the preload,
 /// 10% insert/remove churn on a per-thread private key range.
 fn read_heavy_phase(map: &LayeredMap<u64, u64>, threads: u64) -> f64 {
     let zipf = Zipf::new(KEYS, ZIPF_ALPHA);
-    let start = Barrier::new(threads as usize + 1);
-    let done = Barrier::new(threads as usize + 1);
-    let elapsed = std::thread::scope(|s| {
-        for t in 0..threads {
-            let (map, zipf) = (&map, &zipf);
-            let (start, done) = (&start, &done);
-            s.spawn(move || {
-                let mut h = map.register(ThreadCtx::plain(t as u16));
-                let mut rng = SmallRng::seed_from_u64(0x1234_5678 ^ t);
-                start.wait();
-                for i in 0..OPS {
-                    if i % 10 == 9 {
-                        let k = key(KEYS + t * OPS + i);
-                        h.insert(k, i);
-                        h.remove(&k);
-                    } else {
-                        let rank = zipf.sample(&mut rng);
-                        assert!(h.get(&key(rank)).is_some(), "preloaded key lost");
-                    }
-                }
-                done.wait();
-            });
-        }
+    let elapsed = gate::timed_threads(threads, |t, start| {
+        let mut h = map.register(ThreadCtx::plain(t as u16));
+        let mut rng = SmallRng::seed_from_u64(0x1234_5678 ^ t);
         start.wait();
-        let begin = Instant::now();
-        done.wait();
-        begin.elapsed()
+        for i in 0..OPS {
+            if i % 10 == 9 {
+                let k = key(KEYS + t * OPS + i);
+                h.insert(k, i);
+                h.remove(&k);
+            } else {
+                let rank = zipf.sample(&mut rng);
+                assert!(h.get(&key(rank)).is_some(), "preloaded key lost");
+            }
+        }
     });
     (threads * OPS) as f64 / elapsed.as_secs_f64()
 }
@@ -135,27 +97,14 @@ fn read_heavy_phase(map: &LayeredMap<u64, u64>, threads: u64) -> f64 {
 /// The timed pure-write phase: insert/remove pairs over private ranges,
 /// measuring what the index's inline maintenance costs writers.
 fn write_phase(map: &LayeredMap<u64, u64>, threads: u64) -> f64 {
-    let start = Barrier::new(threads as usize + 1);
-    let done = Barrier::new(threads as usize + 1);
-    let elapsed = std::thread::scope(|s| {
-        for t in 0..threads {
-            let map = &map;
-            let (start, done) = (&start, &done);
-            s.spawn(move || {
-                let mut h = map.register(ThreadCtx::plain(t as u16));
-                start.wait();
-                for i in 0..WRITE_OPS / 2 {
-                    let k = key(KEYS + t * WRITE_OPS + i);
-                    h.insert(k, i);
-                    h.remove(&k);
-                }
-                done.wait();
-            });
-        }
+    let elapsed = gate::timed_threads(threads, |t, start| {
+        let mut h = map.register(ThreadCtx::plain(t as u16));
         start.wait();
-        let begin = Instant::now();
-        done.wait();
-        begin.elapsed()
+        for i in 0..WRITE_OPS / 2 {
+            let k = key(KEYS + t * WRITE_OPS + i);
+            h.insert(k, i);
+            h.remove(&k);
+        }
     });
     (threads * WRITE_OPS) as f64 / elapsed.as_secs_f64()
 }
@@ -176,194 +125,74 @@ fn nodes_per_search(map: &LayeredMap<u64, u64>) -> f64 {
     t.traversed as f64 / t.searches.max(1) as f64
 }
 
-struct Lane {
-    name: &'static str,
-    ops_per_s: f64,
-    write_ops_per_s: f64,
-    nodes_per_search: f64,
-}
-
-/// Paired-ratio medians: both gates compare medians of the per-pair
-/// indexed/descent ratios, not ratios of cross-trial medians — a
-/// background-load spike that hits one half of one pair skews that
-/// pair's ratio, and the median over pairs absorbs it.
-struct Ratios {
-    read: f64,
-    write: f64,
-}
-
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
-fn run_lanes(threads: u64) -> (Lane, Lane, Ratios) {
-    // Structure metric: deterministic per lane, measured once.
-    let (plain, indexed) = (build(threads, false), build(threads, true));
-    preload(&plain, threads);
-    preload(&indexed, threads);
-    let (pl_nps, ix_nps) = (nodes_per_search(&plain), nodes_per_search(&indexed));
-    drop((plain, indexed));
-
-    // Read-heavy throughput: paired trials, order alternating.
-    let (mut pl_r, mut ix_r) = (Vec::new(), Vec::new());
-    let mut read_ratios = Vec::new();
-    for trial in 0..TRIALS {
-        let run = |indexed: bool| {
-            let map = build(threads, indexed);
-            preload(&map, threads);
-            read_heavy_phase(&map, threads)
-        };
-        let (p, x) = if trial % 2 == 0 {
-            let p = run(false);
-            (p, run(true))
-        } else {
-            let x = run(true);
-            (run(false), x)
-        };
+/// Paired trials of one phase (lane 0 descent-only, lane 1 indexed),
+/// each on a freshly built and preloaded map. Returns the per-lane
+/// medians and the median of the per-pair indexed/descent ratios — not
+/// a ratio of cross-trial medians: a background-load spike that hits one
+/// half of one pair skews that pair's ratio, and the median over pairs
+/// absorbs it.
+fn phase(
+    label: &str,
+    trials: usize,
+    threads: u64,
+    run: fn(&LayeredMap<u64, u64>, u64) -> f64,
+) -> ([f64; 2], f64) {
+    let pairs = gate::paired::<_, 2>(trials, |lane, _| run(&build(threads, lane == 1), threads));
+    for (trial, [p, x]) in pairs.iter().enumerate() {
         eprintln!(
-            "  read trial {trial}: descent {p:>12.0} ops/s, indexed {x:>12.0} ops/s ({:.2}x)",
+            "  {label} trial {trial}: descent {p:>12.0} ops/s, indexed {x:>12.0} ops/s ({:.2}x)",
             x / p
         );
-        pl_r.push(p);
-        ix_r.push(x);
-        read_ratios.push(x / p);
     }
-
-    // Pure-write throughput: same pairing, on preloaded maps.
-    let (mut pl_w, mut ix_w) = (Vec::new(), Vec::new());
-    let mut write_ratios = Vec::new();
-    for trial in 0..WRITE_TRIALS {
-        let run = |indexed: bool| {
-            let map = build(threads, indexed);
-            preload(&map, threads);
-            write_phase(&map, threads)
-        };
-        let (p, x) = if trial % 2 == 0 {
-            let p = run(false);
-            (p, run(true))
-        } else {
-            let x = run(true);
-            (run(false), x)
-        };
-        eprintln!(
-            "  write trial {trial}: descent {p:>12.0} ops/s, indexed {x:>12.0} ops/s ({:.2}x)",
-            x / p
-        );
-        pl_w.push(p);
-        ix_w.push(x);
-        write_ratios.push(x / p);
-    }
-
     (
-        Lane {
-            name: "descent_only",
-            ops_per_s: median(pl_r),
-            write_ops_per_s: median(pl_w),
-            nodes_per_search: pl_nps,
-        },
-        Lane {
-            name: "hash_indexed",
-            ops_per_s: median(ix_r),
-            write_ops_per_s: median(ix_w),
-            nodes_per_search: ix_nps,
-        },
-        Ratios {
-            read: median(read_ratios),
-            write: median(write_ratios),
-        },
-    )
-}
-
-fn lane_json(l: &Lane) -> String {
-    format!(
-        "    \"{}\": {{\n      \"ops_per_s\": {:.0},\n      \"write_ops_per_s\": {:.0},\n      \
-         \"nodes_per_search\": {:.2}\n    }}",
-        l.name, l.ops_per_s, l.write_ops_per_s, l.nodes_per_search,
+        [0, 1].map(|lane| gate::median(pairs.iter().map(|p| p[lane]))),
+        gate::median(pairs.iter().map(|[p, x]| x / p)),
     )
 }
 
 fn main() {
-    let check = match std::env::args().nth(1).as_deref() {
-        Some("--check") => true,
-        None => false,
-        Some(other) => panic!("unknown flag {other}"),
-    };
-    let threads = thread_count();
+    let cli = Cli::parse(&[]);
+    let threads = gate::threads_up_to(4);
 
     eprintln!(
         "# bench_point: {KEYS} keys, Zipf({ZIPF_ALPHA}) 90/10 reads, {threads} threads x {OPS} \
          ops, median of {TRIALS}"
     );
 
-    let (pl, ix, ratios) = run_lanes(threads);
-    for l in [&pl, &ix] {
+    // Structure metric: deterministic per lane, measured once.
+    let nps = [false, true].map(|indexed| nodes_per_search(&build(threads, indexed)));
+    let (reads, ops_ratio) = phase("read", TRIALS, threads, read_heavy_phase);
+    let (writes, write_ratio) = phase("write", WRITE_TRIALS, threads, write_phase);
+
+    let mut lanes = Json::new();
+    for (i, name) in ["descent_only", "hash_indexed"].into_iter().enumerate() {
         eprintln!(
-            "[{}] {:>12.0} read ops/s | {:>12.0} write ops/s | {:.2} nodes/search",
-            l.name, l.ops_per_s, l.write_ops_per_s, l.nodes_per_search
+            "[{name}] {:>12.0} read ops/s | {:>12.0} write ops/s | {:.2} nodes/search",
+            reads[i], writes[i], nps[i]
+        );
+        lanes = lanes.obj(
+            name,
+            Json::new()
+                .num("ops_per_s", reads[i], 0)
+                .num("write_ops_per_s", writes[i], 0)
+                .num("nodes_per_search", nps[i], 2),
         );
     }
-    let ops_ratio = ratios.read;
-    let write_ratio = ratios.write;
-    eprintln!(
-        "[gate] point reads {ops_ratio:.2}x (min {MIN_OPS_RATIO}), indexed nodes/search \
-         {:.2} (max {MAX_NODES_PER_SEARCH}), write ablation {write_ratio:.2}x (min \
-         {MIN_WRITE_RATIO})",
-        ix.nodes_per_search
-    );
 
-    let json = format!(
-        "{{\n  \"bench\": \"point_read_index_smoke\",\n  \"threads\": {threads},\n  \
-         \"keys\": {KEYS},\n  \"zipf_alpha\": {ZIPF_ALPHA},\n  \"ops_per_thread\": {OPS},\n  \
-         \"lanes\": {{\n{},\n{}\n  }},\n  \"ops_ratio\": {ops_ratio:.2},\n  \
-         \"write_ratio\": {write_ratio:.2},\n  \"indexed_nodes_per_search\": {:.2}\n}}\n",
-        lane_json(&pl),
-        lane_json(&ix),
-        ix.nodes_per_search,
-    );
-
-    let out = std::env::var("BENCH_OUT").map(PathBuf::from).unwrap_or_else(|_| {
-        let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-        manifest
-            .parent()
-            .and_then(|p| p.parent())
-            .unwrap_or(&manifest)
-            .join("BENCH_7.json")
-    });
-    let mut failed = false;
-    match std::fs::write(&out, &json) {
-        Ok(()) => eprintln!("wrote {}", out.display()),
-        Err(e) => {
-            eprintln!("FAIL: could not write {}: {e}", out.display());
-            failed = true;
-        }
-    }
-    print!("{json}");
-
-    if check {
-        if ops_ratio < MIN_OPS_RATIO {
-            eprintln!(
-                "FAIL: indexed lane moves only {ops_ratio:.2}x the descent lane's point reads \
-                 (min {MIN_OPS_RATIO:.1}x)"
-            );
-            failed = true;
-        }
-        if ix.nodes_per_search > MAX_NODES_PER_SEARCH {
-            eprintln!(
-                "FAIL: indexed lane visits {:.2} nodes per search (max {MAX_NODES_PER_SEARCH:.1})",
-                ix.nodes_per_search
-            );
-            failed = true;
-        }
-        if write_ratio < MIN_WRITE_RATIO {
-            eprintln!(
-                "FAIL: index maintenance costs writers {write_ratio:.2}x of the index-free \
-                 path (min {MIN_WRITE_RATIO:.2}x)"
-            );
-            failed = true;
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    let json = Json::new()
+        .str("bench", "point_read_index_smoke")
+        .raw("threads", threads)
+        .raw("keys", KEYS)
+        .raw("zipf_alpha", ZIPF_ALPHA)
+        .raw("ops_per_thread", OPS)
+        .obj("lanes", lanes)
+        .num("ops_ratio", ops_ratio, 2)
+        .num("write_ratio", write_ratio, 2)
+        .num("indexed_nodes_per_search", nps[1], 2);
+    let gates = [
+        Gate::at_least("point reads indexed / descent", ops_ratio, MIN_OPS_RATIO),
+        Gate::at_most("indexed nodes/search", nps[1], MAX_NODES_PER_SEARCH),
+        Gate::at_least("writes indexed / index-free", write_ratio, MIN_WRITE_RATIO),
+    ];
+    gate::finish("BENCH_7.json", &json, &gates, cli.check);
 }

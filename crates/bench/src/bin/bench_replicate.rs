@@ -33,7 +33,7 @@
 //! concurrent per-socket threads would on real hardware (free-running
 //! threads on this host would instead funnel all of that work through
 //! whichever thread holds the CPU, polluting the attribution; see
-//! `interleave`):
+//! `bench::gate::Sockets::interleave`):
 //!
 //! * **read-heavy** — 90% Zipf(0.99) membership reads over the
 //!   preload, 10% insert/remove churn on private keys. A replicated
@@ -53,16 +53,9 @@
 //! overrides); with `--check` the process exits non-zero when a gate
 //! fails.
 
-use instrument::{AccessStats, ThreadCtx};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-use skipgraph::{
-    BatchConfig, BatchedLayeredMap, ConcurrentMap, GraphConfig, MapHandle, ReplicaConfig,
-    ReplicatedLayeredMap,
-};
-use std::path::PathBuf;
-use std::sync::Arc;
-use std::time::Instant;
+use bench::gate::{self, key, Cli, Gate, Json, Measure, Sockets, LOGS, REMOTE_COST};
+use instrument::AccessStats;
+use skipgraph::{BatchConfig, BatchedLayeredMap, ConcurrentMap, MapHandle, ReplicatedLayeredMap};
 use synchro::Zipf;
 
 /// Preloaded keys: enough that replica structures have real depth.
@@ -71,430 +64,160 @@ const KEYS: u64 = 20_000;
 const OPS: u64 = 20_000;
 /// Pure-write-phase operations per thread per trial.
 const WRITE_OPS: u64 = 8_000;
-const CHUNK: usize = 1 << 12;
 const TRIALS: usize = 3;
 const WRITE_TRIALS: usize = 3;
 /// YCSB-style skew.
 const ZIPF_ALPHA: f64 = 0.99;
 /// Synthetic sockets (replicas) — the acceptance geometry. Also the
 /// measurement thread count: one reader/writer pinned per socket.
-const SOCKETS: usize = 4;
-/// Independent operation logs (one per membership-vector family pair).
-const LOGS: usize = 4;
-/// Modeled cost of a remote shared-node line access, in local-access
-/// units: a cross-socket cache-line transfer (~200 cycles on current
-/// 2–4 socket parts) against a local LLC hit (~40 cycles).
-const REMOTE_COST: f64 = 5.0;
+const SOCKETS: Sockets = Sockets(4);
 
 const MIN_READ_RATIO: f64 = 2.0;
 const MIN_WRITE_RATIO: f64 = 0.85;
 
-/// Thread slots: measurement tids 1..=SOCKETS (one per socket under the
-/// uniform placement below) plus tid 0 as the preloader.
-const SLOTS: usize = SOCKETS + 1;
-
-/// Measurement thread `i`'s dense thread id. Under
-/// `ReplicaConfig::uniform(5, 4)` the placement is `[0, 0, 1, 2, 3]`,
-/// so tids 1..=4 land one per socket and the preloader (tid 0) shares
-/// socket 0.
-fn tid_of(i: u64) -> u16 {
-    i as u16 + 1
-}
-
-/// Key `i`, scattered uniformly (odd multiplier: a bijection on `u64`).
-fn key(i: u64) -> u64 {
-    i.wrapping_mul(0x9E37_79B1_85EB_CA87)
-}
-
-/// Identical shared-structure geometry on both lanes. The commission
-/// period is effectively disabled: physical unlink timing is TSC-based,
-/// and letting it fire mid-phase would make the line counts depend on
-/// this host's clock rather than on the structures.
-fn graph_config() -> GraphConfig {
-    GraphConfig::new(SLOTS)
-        .lazy(true)
-        .hash_index(true)
-        .chunk_capacity(CHUNK)
-        .commission_cycles(u64::MAX)
-}
-
-fn replica_config() -> ReplicaConfig {
-    // A roomy log with a high lag bound lets replay batches grow, which
-    // is what amortizes the per-replica apply cost on the write side.
-    ReplicaConfig::uniform(SLOTS, SOCKETS)
-        .logs(LOGS)
-        .log_capacity(1 << 10)
-        .max_lag(3 << 8)
-}
-
-fn build_replicated() -> ReplicatedLayeredMap<u64, u64> {
-    ReplicatedLayeredMap::new(graph_config(), replica_config())
-}
-
-fn build_batched() -> BatchedLayeredMap<u64, u64> {
-    // One combining bank: the canonical single-structure flat-combining
-    // configuration. (Per-socket bank partitioning is itself a NUMA
-    // optimization from the same family as replication — giving it to
-    // the baseline would measure partitioning against partitioning, not
-    // replication against the single shared structure.)
-    BatchedLayeredMap::new(graph_config(), BatchConfig::uniform(SLOTS, 1))
-}
-
-/// Thread → synthetic socket, for the locality split. Matches
-/// [`replica_config`]'s placement on both lanes.
-fn classification() -> Vec<usize> {
-    let rcfg = replica_config();
-    (0..SLOTS).map(|t| rcfg.socket_of(t as u16)).collect()
-}
-
-/// Preloads round-robin across every slot's handle (uninstrumented), so
-/// single-structure node ownership spreads over all sockets instead of
-/// crediting one preloader thread with the whole key space.
-fn preload<M: ConcurrentMap<u64, u64>>(map: &M) {
-    let mut handles: Vec<_> = (0..SLOTS)
-        .map(|t| map.pin(ThreadCtx::plain(t as u16)))
-        .collect();
-    for i in 0..KEYS {
-        assert!(handles[i as usize % SLOTS].insert(key(i), i));
+/// Builds one lane, preloads it round-robin across every slot (so
+/// single-structure node ownership spreads over all sockets), converges
+/// the replicas, and measures one phase on it.
+fn run_lane(replicated: bool, write: bool) -> Measure {
+    if replicated {
+        let map = ReplicatedLayeredMap::new(SOCKETS.graph_config(), SOCKETS.replica_config());
+        gate::preload(&map, SOCKETS.slots(), KEYS);
+        SOCKETS.sync(&map);
+        measure(&map, write)
+    } else {
+        // One combining bank: the canonical single-structure
+        // flat-combining configuration. (Per-socket bank partitioning is
+        // itself a NUMA optimization from the same family as replication
+        // — giving it to the baseline would measure partitioning against
+        // partitioning, not replication against the single shared
+        // structure.)
+        let batch = BatchConfig::uniform(SOCKETS.slots(), 1);
+        let map = BatchedLayeredMap::new(SOCKETS.graph_config(), batch);
+        gate::preload(&map, SOCKETS.slots(), KEYS);
+        measure(&map, write)
     }
 }
 
-/// Retires the preload's replay debt (uninstrumented): every socket
-/// catches its replica up to the log heads, as a deployment would after
-/// a bulk load, so the measured phases start from converged replicas
-/// instead of paying the preload's applies inside the first reads.
-fn sync_replicas(map: &ReplicatedLayeredMap<u64, u64>) {
-    for t in 0..SOCKETS as u64 {
-        map.register(ThreadCtx::plain(tid_of(t))).sync();
-    }
-}
-
-/// Runs `ops` rounds of `op(handle, t, i)`, one op per socket handle per
-/// round, from a single driver thread.
-///
-/// The round-robin interleave is what makes the locality attribution
-/// scheduler-independent on a non-NUMA host: with free-running OS
-/// threads on few cores, whichever thread holds the CPU ends up doing
-/// *everyone's* combining (all touches self-attributed) or *everyone's*
-/// replica replay (all touches remote-attributed) — an artifact of this
-/// host's scheduler, not of either design. A fair interleave is exactly
-/// what per-socket threads on real hardware provide: each socket's
-/// handle performs its own share of reads, appends, and replica drains,
-/// and every shared-node touch lands in `stats` under the socket that
-/// would have issued it.
-fn interleave<'m, M, F>(map: &'m M, stats: &Arc<AccessStats>, seed: u64, ops: u64, mut op: F) -> f64
-where
-    M: ConcurrentMap<u64, u64>,
-    F: FnMut(&mut M::Handle<'m>, &mut SmallRng, u64),
-{
-    let mut handles: Vec<_> = (0..SOCKETS as u64)
-        .map(|t| map.pin(ThreadCtx::recording(tid_of(t), Arc::clone(stats))))
-        .collect();
-    let mut rngs: Vec<SmallRng> = (0..SOCKETS as u64)
-        .map(|t| SmallRng::seed_from_u64(seed ^ t))
-        .collect();
-    let begin = Instant::now();
-    for i in 0..ops {
-        for (h, rng) in handles.iter_mut().zip(rngs.iter_mut()) {
-            op(h, rng, i);
-        }
-    }
-    (SOCKETS as u64 * ops) as f64 / begin.elapsed().as_secs_f64()
-}
-
-/// The timed read-heavy phase: 90% Zipf membership reads over the
-/// preload, 10% updates (alternating remove/re-insert) on the same Zipf
-/// population — the NR-style update mix, where writes mutate existing
-/// keys through the lazy valid-bit protocol rather than growing the
-/// structure.
-fn read_heavy_phase<M: ConcurrentMap<u64, u64>>(map: &M, stats: &Arc<AccessStats>) -> f64 {
+/// One timed phase over the Zipf population. Read-heavy: 90% membership
+/// reads, 10% updates (alternating remove/re-insert) — the NR-style
+/// update mix, where writes mutate existing keys through the lazy
+/// valid-bit protocol rather than growing the structure. Pure-write:
+/// 100% updates of the same shape.
+fn measure<M: ConcurrentMap<u64, u64>>(map: &M, write: bool) -> Measure {
     let zipf = Zipf::new(KEYS, ZIPF_ALPHA);
-    interleave(map, stats, 0x1234_5678, OPS, |h, rng, i| {
-        let k = key(zipf.sample(rng));
-        if i % 10 == 9 {
-            if (i / 10) % 2 == 0 {
-                h.remove(&k);
-            } else {
-                h.insert(k, i);
-            }
-        } else {
-            h.contains(&k);
-        }
-    })
-}
-
-/// The timed pure-write phase: alternating remove/re-insert over the
-/// Zipf population (100% updates, same op shape as the read phase's
-/// write slice).
-fn write_phase<M: ConcurrentMap<u64, u64>>(map: &M, stats: &Arc<AccessStats>) -> f64 {
-    let zipf = Zipf::new(KEYS, ZIPF_ALPHA);
-    interleave(map, stats, 0xABCD_EF01, WRITE_OPS, |h, rng, i| {
-        let k = key(zipf.sample(rng));
-        if i % 2 == 0 {
-            h.remove(&k);
-        } else {
-            h.insert(k, i);
-        }
-    })
-}
-
-/// One phase measurement: wall throughput plus the locality-weighted
-/// line cost per operation.
-struct Measure {
-    ops_per_s: f64,
-    local_per_op: f64,
-    remote_per_op: f64,
-}
-
-impl Measure {
-    /// Modeled line-cost of one operation: local touches at unit cost,
-    /// remote touches at [`REMOTE_COST`].
-    fn cost(&self) -> f64 {
-        self.local_per_op + REMOTE_COST * self.remote_per_op
-    }
-
-    /// Paper-style read locality: local / (local + remote) touches.
-    fn locality(&self) -> f64 {
-        let total = self.local_per_op + self.remote_per_op;
-        if total == 0.0 {
-            1.0
-        } else {
-            self.local_per_op / total
-        }
-    }
-}
-
-fn measure<M, F>(map: &M, ops: u64, phase: F) -> Measure
-where
-    M: ConcurrentMap<u64, u64>,
-    F: Fn(&M, &Arc<AccessStats>) -> f64,
-{
-    let stats = AccessStats::new(SLOTS);
-    let ops_per_s = phase(map, &stats);
-    let numa_of = classification();
-    let (lr, rr) = stats.reads().split_by_locality(&numa_of);
-    let (lc, rc) = stats.cas().split_by_locality(&numa_of);
-    Measure {
-        ops_per_s,
-        local_per_op: (lr + lc) as f64 / ops as f64,
-        remote_per_op: (rr + rc) as f64 / ops as f64,
-    }
-}
-
-struct Lane {
-    name: &'static str,
-    read: Measure,
-    write: Measure,
-}
-
-/// Median per-pair ratios (see `bench_point`): one noisy pair skews one
-/// sample, and the median absorbs it.
-struct Ratios {
-    read: f64,
-    write: f64,
-}
-
-fn median(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
-fn run_lanes() -> (Lane, Lane, Ratios) {
-    let read_ops = SOCKETS as u64 * OPS;
-    let write_ops = SOCKETS as u64 * WRITE_OPS;
-    let run_read = |replicated: bool| {
-        if replicated {
-            let map = build_replicated();
-            preload(&map);
-            sync_replicas(&map);
-            measure(&map, read_ops, read_heavy_phase)
-        } else {
-            let map = build_batched();
-            preload(&map);
-            measure(&map, read_ops, read_heavy_phase)
-        }
+    let stats = AccessStats::new(SOCKETS.slots());
+    let (seed, rounds) = if write {
+        (0xABCD_EF01, WRITE_OPS)
+    } else {
+        (0x1234_5678, OPS)
     };
-    let (mut ba_r, mut re_r) = (Vec::new(), Vec::new());
-    let mut read_ratios = Vec::new();
-    for trial in 0..TRIALS {
-        let (b, r) = if trial % 2 == 0 {
-            let b = run_read(false);
-            (b, run_read(true))
+    let ops_per_s = SOCKETS.interleave(map, Some(&stats), seed, rounds, |h, rng, i| {
+        let k = key(zipf.sample(rng));
+        let update = if write {
+            Some(i % 2 == 0)
         } else {
-            let r = run_read(true);
-            (run_read(false), r)
+            (i % 10 == 9).then_some((i / 10) % 2 == 0)
         };
+        match update {
+            Some(true) => h.remove(&k),
+            Some(false) => h.insert(k, i),
+            None => h.contains(&k),
+        };
+    });
+    SOCKETS.measure(&stats, ops_per_s, SOCKETS.0 as u64 * rounds)
+}
+
+/// Paired trials of one phase (lane 0 batched, lane 1 replicated): the
+/// median per-pair modeled ratio (`bench_point` idiom: one noisy pair
+/// skews one sample, and the median absorbs it) and each lane's trial
+/// with the median cost (counts are near-deterministic; any trial is
+/// representative).
+fn phase(label: &str, trials: usize, write: bool) -> (f64, [Measure; 2]) {
+    let pairs = gate::paired::<_, 2>(trials, |lane, _| run_lane(lane == 1, write));
+    for (trial, [b, r]) in pairs.iter().enumerate() {
         eprintln!(
-            "  read trial {trial}: batched {:>6.1} lines/op ({:>4.1}% local), replicated \
+            "  {label} trial {trial}: batched {:>6.1} lines/op ({:>4.1}% local), replicated \
              {:>6.1} lines/op ({:>4.1}% local) -> modeled {:.2}x",
-            b.local_per_op + b.remote_per_op,
+            b.lines(),
             b.locality() * 100.0,
-            r.local_per_op + r.remote_per_op,
+            r.lines(),
             r.locality() * 100.0,
             b.cost() / r.cost(),
         );
-        read_ratios.push(b.cost() / r.cost());
-        ba_r.push(b);
-        re_r.push(r);
     }
-
-    let run_write = |replicated: bool| {
-        if replicated {
-            let map = build_replicated();
-            preload(&map);
-            sync_replicas(&map);
-            measure(&map, write_ops, write_phase)
-        } else {
-            let map = build_batched();
-            preload(&map);
-            measure(&map, write_ops, write_phase)
-        }
-    };
-    let (mut ba_w, mut re_w) = (Vec::new(), Vec::new());
-    let mut write_ratios = Vec::new();
-    for trial in 0..WRITE_TRIALS {
-        let (b, r) = if trial % 2 == 0 {
-            let b = run_write(false);
-            (b, run_write(true))
-        } else {
-            let r = run_write(true);
-            (run_write(false), r)
-        };
-        eprintln!(
-            "  write trial {trial}: batched {:>6.1} lines/op ({:>4.1}% local), replicated \
-             {:>6.1} lines/op ({:>4.1}% local) -> modeled {:.2}x",
-            b.local_per_op + b.remote_per_op,
-            b.locality() * 100.0,
-            r.local_per_op + r.remote_per_op,
-            r.locality() * 100.0,
-            b.cost() / r.cost(),
-        );
-        write_ratios.push(b.cost() / r.cost());
-        ba_w.push(b);
-        re_w.push(r);
-    }
-
-    // The lane rows report the trial with the median read cost (counts
-    // are near-deterministic; any trial is representative).
-    let pick = |mut v: Vec<Measure>| -> Measure {
+    let pick = |lane: usize| {
+        let mut v: Vec<Measure> = pairs.iter().map(|p| p[lane]).collect();
         v.sort_by(|a, b| a.cost().total_cmp(&b.cost()));
-        v.swap_remove(v.len() / 2)
+        v[v.len() / 2]
     };
     (
-        Lane {
-            name: "batched_single",
-            read: pick(ba_r),
-            write: pick(ba_w),
-        },
-        Lane {
-            name: "replicated",
-            read: pick(re_r),
-            write: pick(re_w),
-        },
-        Ratios {
-            read: median(read_ratios),
-            write: median(write_ratios),
-        },
-    )
-}
-
-fn lane_json(l: &Lane) -> String {
-    format!(
-        "    \"{}\": {{\n      \"read_ops_per_s\": {:.0},\n      \"write_ops_per_s\": {:.0},\n      \
-         \"read_lines_per_op\": {:.2},\n      \"read_locality\": {:.3},\n      \
-         \"read_modeled_cost\": {:.2},\n      \"write_lines_per_op\": {:.2},\n      \
-         \"write_locality\": {:.3},\n      \"write_modeled_cost\": {:.2}\n    }}",
-        l.name,
-        l.read.ops_per_s,
-        l.write.ops_per_s,
-        l.read.local_per_op + l.read.remote_per_op,
-        l.read.locality(),
-        l.read.cost(),
-        l.write.local_per_op + l.write.remote_per_op,
-        l.write.locality(),
-        l.write.cost(),
+        gate::median(pairs.iter().map(|[b, r]| b.cost() / r.cost())),
+        [pick(0), pick(1)],
     )
 }
 
 fn main() {
-    let check = match std::env::args().nth(1).as_deref() {
-        Some("--check") => true,
-        None => false,
-        Some(other) => panic!("unknown flag {other}"),
-    };
+    let cli = Cli::parse(&[]);
 
     eprintln!(
-        "# bench_replicate: {KEYS} keys, Zipf({ZIPF_ALPHA}) 90/10 reads, {SOCKETS} threads x \
-         {OPS} ops, {SOCKETS} synthetic sockets x {LOGS} logs, remote line = {REMOTE_COST}x \
-         local, median of {TRIALS}"
+        "# bench_replicate: {KEYS} keys, Zipf({ZIPF_ALPHA}) 90/10 reads, {} threads x {OPS} ops, \
+         {} synthetic sockets x {LOGS} logs, remote line = {REMOTE_COST}x local, median of \
+         {TRIALS}",
+        SOCKETS.0, SOCKETS.0
     );
 
-    let (ba, re, ratios) = run_lanes();
-    for l in [&ba, &re] {
+    let (read_ratio, read) = phase("read", TRIALS, false);
+    let (write_ratio, write) = phase("write", WRITE_TRIALS, true);
+    let mut lanes = Json::new();
+    for (i, name) in ["batched_single", "replicated"].into_iter().enumerate() {
+        let (r, w) = (read[i], write[i]);
         eprintln!(
-            "[{}] read {:>6.1} lines/op ({:>4.1}% local, cost {:>6.1}) | write {:>6.1} lines/op \
-             ({:>4.1}% local, cost {:>6.1})",
-            l.name,
-            l.read.local_per_op + l.read.remote_per_op,
-            l.read.locality() * 100.0,
-            l.read.cost(),
-            l.write.local_per_op + l.write.remote_per_op,
-            l.write.locality() * 100.0,
-            l.write.cost(),
+            "[{name}] read {:>6.1} lines/op ({:>4.1}% local, cost {:>6.1}) | write {:>6.1} \
+             lines/op ({:>4.1}% local, cost {:>6.1})",
+            r.lines(),
+            r.locality() * 100.0,
+            r.cost(),
+            w.lines(),
+            w.locality() * 100.0,
+            w.cost(),
+        );
+        lanes = lanes.obj(
+            name,
+            Json::new()
+                .num("read_ops_per_s", r.ops_per_s, 0)
+                .num("write_ops_per_s", w.ops_per_s, 0)
+                .num("read_lines_per_op", r.lines(), 2)
+                .num("read_locality", r.locality(), 3)
+                .num("read_modeled_cost", r.cost(), 2)
+                .num("write_lines_per_op", w.lines(), 2)
+                .num("write_locality", w.locality(), 3)
+                .num("write_modeled_cost", w.cost(), 2),
         );
     }
-    let read_ratio = ratios.read;
-    let write_ratio = ratios.write;
-    eprintln!(
-        "[gate] modeled read throughput {read_ratio:.2}x (min {MIN_READ_RATIO}), write \
-         {write_ratio:.2}x (min {MIN_WRITE_RATIO})"
-    );
 
-    let json = format!(
-        "{{\n  \"bench\": \"replicate_smoke\",\n  \"threads\": {SOCKETS},\n  \
-         \"sockets\": {SOCKETS},\n  \"logs\": {LOGS},\n  \"keys\": {KEYS},\n  \
-         \"zipf_alpha\": {ZIPF_ALPHA},\n  \"ops_per_thread\": {OPS},\n  \
-         \"remote_cost_factor\": {REMOTE_COST},\n  \"lanes\": {{\n{},\n{}\n  }},\n  \
-         \"read_ratio\": {read_ratio:.2},\n  \"write_ratio\": {write_ratio:.2}\n}}\n",
-        lane_json(&ba),
-        lane_json(&re),
-    );
-
-    let out = std::env::var("BENCH_OUT").map(PathBuf::from).unwrap_or_else(|_| {
-        let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-        manifest
-            .parent()
-            .and_then(|p| p.parent())
-            .unwrap_or(&manifest)
-            .join("BENCH_8.json")
-    });
-    let mut failed = false;
-    match std::fs::write(&out, &json) {
-        Ok(()) => eprintln!("wrote {}", out.display()),
-        Err(e) => {
-            eprintln!("FAIL: could not write {}: {e}", out.display());
-            failed = true;
-        }
-    }
-    print!("{json}");
-
-    if check {
-        if read_ratio < MIN_READ_RATIO {
-            eprintln!(
-                "FAIL: replicated reads move only {read_ratio:.2}x the batched lane's modeled \
-                 throughput (min {MIN_READ_RATIO:.1}x)"
-            );
-            failed = true;
-        }
-        if write_ratio < MIN_WRITE_RATIO {
-            eprintln!(
-                "FAIL: replication prices writes at {write_ratio:.2}x the single-structure \
-                 batched path (min {MIN_WRITE_RATIO:.2}x)"
-            );
-            failed = true;
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    let json = Json::new()
+        .str("bench", "replicate_smoke")
+        .raw("threads", SOCKETS.0)
+        .raw("sockets", SOCKETS.0)
+        .raw("logs", LOGS)
+        .raw("keys", KEYS)
+        .raw("zipf_alpha", ZIPF_ALPHA)
+        .raw("ops_per_thread", OPS)
+        .raw("remote_cost_factor", REMOTE_COST)
+        .obj("lanes", lanes)
+        .num("read_ratio", read_ratio, 2)
+        .num("write_ratio", write_ratio, 2);
+    let gates = [
+        Gate::at_least(
+            "modeled read throughput replicated / batched",
+            read_ratio,
+            MIN_READ_RATIO,
+        ),
+        Gate::at_least(
+            "modeled write throughput replicated / batched",
+            write_ratio,
+            MIN_WRITE_RATIO,
+        ),
+    ];
+    gate::finish("BENCH_8.json", &json, &gates, cli.check);
 }

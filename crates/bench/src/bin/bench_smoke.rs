@@ -12,9 +12,11 @@
 //! * `nodes_per_search` — mean shared nodes traversed per search (from an
 //!   instrumented companion trial).
 //!
-//! With `--check <baseline.json>` the freshly measured *median* throughput
-//! of each structure is compared against the baseline's median and the
-//! process exits non-zero on a regression past the tolerance — the CI
+//! Every run enforces the layout gate: the sparse configuration must at
+//! least halve bytes/node versus the fixed-tower layout. With
+//! `--check <baseline.json>` the freshly measured *median* throughput
+//! of each structure is also compared against the baseline's median and
+//! the process exits non-zero on a regression past the tolerance — the CI
 //! `bench-smoke` lane feeds it the checked-in `BENCH_2.json`.
 //! Median-vs-median is the stable comparison: both sides summarize the
 //! same in-process repetition scheme, so only a shift of the whole
@@ -32,10 +34,10 @@
 //! Scale: `SCALE=quick` (default) or `SCALE=paper`; output path override:
 //! `BENCH_OUT=/path/to.json`.
 
+use bench::gate::{self, Cli, Gate, Json};
 use bench::{scenario_workload, Scale};
 use instrument::AccessStats;
 use skipgraph::{GraphConfig, LayeredMap, SkipGraph};
-use std::path::PathBuf;
 use std::sync::Arc;
 use synchro::{run_trial, InstrMode};
 
@@ -44,21 +46,7 @@ const REGRESSION_TOLERANCE: f64 = 0.40;
 /// Required allocation saving of the truncated-tower layout under the
 /// sparse configuration, versus the fixed 8-slot inline tower.
 const SPARSE_BYTES_RATIO: f64 = 2.0;
-
-struct Measured {
-    name: &'static str,
-    /// Median trial throughput — the representative number, written to the
-    /// baseline file *and* what the gate compares against the baseline's
-    /// median (like-for-like; see the module docs).
-    ops_per_s: f64,
-    /// Best trial throughput — informational only (kept in the JSON so a
-    /// run's headroom over its median is visible).
-    best_ops_per_s: f64,
-    bytes_per_node: f64,
-    nodes_per_search: f64,
-    allocated_nodes: usize,
-    resident_bytes: usize,
-}
+const STRUCTURES: [&str; 3] = ["lazy_layered_sg", "layered_map_ssg", "layered_map_sg"];
 
 fn config_for(name: &str, threads: usize, cap: usize) -> GraphConfig {
     match name {
@@ -69,11 +57,15 @@ fn config_for(name: &str, threads: usize, cap: usize) -> GraphConfig {
     }
 }
 
-fn measure(name: &'static str, threads: usize, scale: &Scale) -> Measured {
-    // A 10% gate needs steadier samples than the quick scale's default
-    // trial length; stretch short trials to at least 400 ms and take the
-    // best of at least 5 (max-of-N is far more interference-tolerant than
-    // a mean; still ~10 s of CI time for all three structures).
+/// Measures one structure: the median trial throughput (the
+/// representative number, written to the baseline file *and* what the
+/// gate compares against the baseline's median — like-for-like, see the
+/// module docs), the best trial (informational only: a run's headroom
+/// over its median), and the layout of the last trial's map.
+fn measure(name: &str, threads: usize, scale: &Scale) -> (f64, f64, Json) {
+    // The quick scale's default trial is too short for steady samples;
+    // stretch trials to at least 400 ms and take the median of at least
+    // 5 (still ~10 s of CI time for all three structures).
     let mut w = scenario_workload("mc-wh", threads, scale).zipf(ZIPF_ALPHA);
     w.duration = w.duration.max(std::time::Duration::from_millis(400));
     let runs = scale.runs.max(5);
@@ -89,13 +81,10 @@ fn measure(name: &'static str, threads: usize, scale: &Scale) -> Measured {
         samples.push(r.ops_per_ms() * 1e3);
         last_map = Some(map);
     }
-    samples.sort_by(|a, b| a.total_cmp(b));
-    let median = samples[samples.len() / 2];
-    let best = *samples.last().expect("at least one run");
+    let best = samples.iter().copied().fold(f64::MIN, f64::max);
+    let median = gate::median(samples);
     let map = last_map.expect("at least one run");
-    let mem = map
-        .shared()
-        .memory_stats(&instrument::ThreadCtx::plain(0));
+    let mem = map.shared().memory_stats(&instrument::ThreadCtx::plain(0));
 
     // Nodes-per-search from one instrumented companion trial (recording
     // slows the trial down, so it does not contribute to ops_per_s).
@@ -109,157 +98,73 @@ fn measure(name: &'static str, threads: usize, scale: &Scale) -> Measured {
         totals.traversed as f64 / totals.searches as f64
     };
 
-    Measured {
-        name,
-        ops_per_s: median,
-        best_ops_per_s: best,
-        bytes_per_node: mem.bytes_per_node(),
-        nodes_per_search,
-        allocated_nodes: mem.allocated,
-        resident_bytes: mem.resident_bytes,
-    }
-}
-
-fn render_json(threads: usize, scale_name: &str, fixed_bytes: usize, rows: &[Measured]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"zipf_throughput_smoke\",\n");
-    out.push_str(&format!("  \"scale\": \"{scale_name}\",\n"));
-    out.push_str(&format!("  \"threads\": {threads},\n"));
-    out.push_str(&format!("  \"zipf_alpha\": {ZIPF_ALPHA},\n"));
-    out.push_str(&format!(
-        "  \"fixed_tower_bytes_per_node\": {fixed_bytes},\n"
-    ));
-    out.push_str("  \"structures\": {\n");
-    for (i, m) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{}\": {{ \"ops_per_s\": {:.0}, \"best_ops_per_s\": {:.0}, \
-             \"bytes_per_node\": {:.2}, \
-             \"nodes_per_search\": {:.2}, \"allocated_nodes\": {}, \"resident_bytes\": {} }}{}\n",
-            m.name,
-            m.ops_per_s,
-            m.best_ops_per_s,
-            m.bytes_per_node,
-            m.nodes_per_search,
-            m.allocated_nodes,
-            m.resident_bytes,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  }\n}\n");
-    out
-}
-
-/// Pulls `"<structure>": { ... "ops_per_s": <x> ... }` out of a baseline
-/// file without a JSON dependency (the workspace is offline-only).
-fn baseline_ops_per_s(json: &str, structure: &str) -> Option<f64> {
-    let obj = &json[json.find(&format!("\"{structure}\""))?..];
-    let field = &obj[obj.find("\"ops_per_s\"")?..];
-    let val = field[field.find(':')? + 1..].trim_start();
-    let end = val
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(val.len());
-    val[..end].parse().ok()
-}
-
-fn out_path() -> PathBuf {
-    if let Ok(p) = std::env::var("BENCH_OUT") {
-        return PathBuf::from(p);
-    }
-    let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    manifest
-        .parent()
-        .and_then(|p| p.parent())
-        .unwrap_or(&manifest)
-        .join("BENCH_2.json")
+    let fixed = SkipGraph::<u64, u64>::fixed_tower_node_bytes();
+    eprintln!(
+        "{name:>16}: {median:>12.0} ops/s, {:>6.2} B/node ({:.2}x vs fixed {fixed}), \
+         {nodes_per_search:>6.2} nodes/search",
+        mem.bytes_per_node(),
+        fixed as f64 / mem.bytes_per_node(),
+    );
+    let json = Json::new()
+        .num("ops_per_s", median, 0)
+        .num("best_ops_per_s", best, 0)
+        .num("bytes_per_node", mem.bytes_per_node(), 2)
+        .num("nodes_per_search", nodes_per_search, 2)
+        .raw("allocated_nodes", mem.allocated)
+        .raw("resident_bytes", mem.resident_bytes);
+    (median, mem.bytes_per_node(), json)
 }
 
 fn main() {
-    let check_path = {
-        let args: Vec<String> = std::env::args().collect();
-        args.iter()
-            .position(|a| a == "--check")
-            .map(|i| args.get(i + 1).expect("--check needs a path").clone())
-    };
+    let cli = Cli::parse(&["--check PATH"]);
+    let baseline = cli.baseline.map(|path| {
+        std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            eprintln!("FAIL: cannot read baseline {path}: {e}");
+            std::process::exit(1)
+        })
+    });
 
     let scale = Scale::from_env();
-    let scale_name = if scale.duration.as_secs() >= 1 { "paper" } else { "quick" };
+    let scale_name = if scale.duration.as_secs() >= 1 {
+        "paper"
+    } else {
+        "quick"
+    };
     let threads = *scale.threads.last().expect("thread list");
     let fixed_bytes = SkipGraph::<u64, u64>::fixed_tower_node_bytes();
 
     eprintln!("# bench_smoke: mc-wh + zipf({ZIPF_ALPHA}), {threads} threads, {scale_name} scale");
-    let rows: Vec<Measured> = ["lazy_layered_sg", "layered_map_ssg", "layered_map_sg"]
-        .into_iter()
-        .map(|name| {
-            let m = measure(name, threads, &scale);
-            eprintln!(
-                "{:>16}: {:>12.0} ops/s, {:>6.2} B/node ({:.2}x vs fixed {}), {:>6.2} nodes/search",
-                m.name,
-                m.ops_per_s,
-                m.bytes_per_node,
-                fixed_bytes as f64 / m.bytes_per_node,
-                fixed_bytes,
-                m.nodes_per_search
-            );
-            m
-        })
-        .collect();
-
-    let mut failed = false;
-
-    // Layout acceptance: the sparse config must at least halve bytes/node
-    // versus the fixed-tower layout.
-    let sparse = rows
-        .iter()
-        .find(|m| m.name == "layered_map_ssg")
-        .expect("sparse row");
-    let ratio = fixed_bytes as f64 / sparse.bytes_per_node;
-    if ratio < SPARSE_BYTES_RATIO {
-        eprintln!(
-            "FAIL: sparse bytes/node reduction {ratio:.2}x < required {SPARSE_BYTES_RATIO:.1}x"
-        );
-        failed = true;
-    }
-
-    if let Some(path) = check_path {
-        match std::fs::read_to_string(&path) {
-            Ok(baseline) => {
-                for m in &rows {
-                    match baseline_ops_per_s(&baseline, m.name) {
-                        Some(base) if base > 0.0 => {
-                            let floor = base * (1.0 - REGRESSION_TOLERANCE);
-                            let fresh = m.ops_per_s;
-                            let verdict = if fresh < floor { "REGRESSED" } else { "ok" };
-                            eprintln!(
-                                "check {:>16}: median {:.0} vs baseline {:.0} (floor {:.0}) {}",
-                                m.name, fresh, base, floor, verdict
-                            );
-                            if fresh < floor {
-                                failed = true;
-                            }
-                        }
-                        _ => eprintln!("check {:>16}: no baseline entry, skipping", m.name),
-                    }
-                }
-            }
-            Err(e) => {
-                eprintln!("FAIL: cannot read baseline {path}: {e}");
-                failed = true;
-            }
+    let mut structures = Json::new();
+    let mut gates = Vec::new();
+    for name in STRUCTURES {
+        let (median, bytes_per_node, row) = measure(name, threads, &scale);
+        if name == "layered_map_ssg" {
+            let ratio = fixed_bytes as f64 / bytes_per_node;
+            gates.push(Gate::at_least(
+                "sparse bytes/node reduction",
+                ratio,
+                SPARSE_BYTES_RATIO,
+            ));
         }
-    }
-
-    let json = render_json(threads, scale_name, fixed_bytes, &rows);
-    let out = out_path();
-    match std::fs::write(&out, &json) {
-        Ok(()) => eprintln!("wrote {}", out.display()),
-        Err(e) => {
-            eprintln!("FAIL: could not write {}: {e}", out.display());
-            failed = true;
+        if let Some(b) = &baseline {
+            let base = gate::baseline_value(b, name, "ops_per_s");
+            gates.push(Gate::vs_baseline(
+                format!("check {name}"),
+                median,
+                base,
+                REGRESSION_TOLERANCE,
+            ));
         }
+        structures = structures.obj(name, row);
     }
-    print!("{json}");
 
-    if failed {
-        std::process::exit(1);
-    }
+    let json = Json::new()
+        .str("bench", "zipf_throughput_smoke")
+        .str("scale", scale_name)
+        .raw("threads", threads)
+        .raw("zipf_alpha", ZIPF_ALPHA)
+        .raw("fixed_tower_bytes_per_node", fixed_bytes)
+        .obj("structures", structures);
+    // The layout gate holds on every run; `--check` adds the baseline rows.
+    gate::finish("BENCH_2.json", &json, &gates, true);
 }

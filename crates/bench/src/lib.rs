@@ -12,6 +12,7 @@
 //! written under `results/` (override with `RESULTS_DIR`).
 
 pub mod figures;
+pub mod gate;
 
 use std::fs;
 use std::path::PathBuf;

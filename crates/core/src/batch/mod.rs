@@ -1,4 +1,4 @@
-//! NUMA-local flat-combining batch executor (`skipgraph::combine`).
+//! NUMA-local flat-combining batch executor (`skipgraph::batch`).
 //!
 //! An opt-in batching subsystem layered over the shared [`crate::graph::SkipGraph`]:
 //! each registered thread owns one cache-line-padded *publication slot* in
@@ -447,18 +447,27 @@ impl<K, V> std::fmt::Debug for BatchExecutor<K, V> {
 }
 
 /// A [`LayeredMap`] whose per-thread handles route every shared-structure
-/// operation through the flat-combining executor (the fully-combined
-/// configuration the batch stress lanes exercise). Registering yields a
-/// [`CombiningHandle`].
+/// operation through the flat-combining executor it owns (the
+/// fully-combined configuration the batch stress lanes exercise).
+/// Registering yields a [`CombiningHandle`]; this is the only way to get
+/// one, so a combining handle always has an executor behind it.
 pub struct BatchedLayeredMap<K, V> {
     map: LayeredMap<K, V>,
+    exec: BatchExecutor<K, V>,
 }
 
 impl<K: Ord + Hash + Clone, V> BatchedLayeredMap<K, V> {
-    /// Builds the layered map with a batch executor attached.
+    /// Builds the layered map with a batch executor attached
+    /// (`batch.threads()` must equal `config.num_threads`).
     pub fn new(config: GraphConfig, batch: BatchConfig) -> Self {
+        assert_eq!(
+            batch.threads(),
+            config.num_threads,
+            "batch config must cover exactly the registered threads"
+        );
         Self {
-            map: LayeredMap::with_batching(config, batch),
+            map: LayeredMap::new(config),
+            exec: BatchExecutor::new(&batch),
         }
     }
 
@@ -468,12 +477,17 @@ impl<K: Ord + Hash + Clone, V> BatchedLayeredMap<K, V> {
         &self.map
     }
 
-    /// Registers the calling thread for combined execution.
+    /// Registers the calling thread for combined execution: the returned
+    /// handle publishes every shared-structure operation to its socket's
+    /// flat-combining slot bank instead of executing it directly.
     pub fn register(&self, ctx: ThreadCtx) -> CombiningHandle<'_, K, V>
     where
         V: Clone,
     {
-        self.map.register_combining(ctx)
+        CombiningHandle {
+            inner: self.map.register(ctx),
+            exec: &self.exec,
+        }
     }
 }
 

@@ -977,10 +977,9 @@ where
     /// Position of the greatest sorted-prefix key `<= key` (the only slot
     /// that can hold `key`), or `None` when every prefix key exceeds it.
     ///
-    /// Default: branch-free binary search — the halving loop has no
-    /// data-dependent branch (the select compiles to a cmov), so the
-    /// branch predictor never trains on key order.
-    #[cfg(not(feature = "swar-probe"))]
+    /// Branch-free binary search: the halving loop has no data-dependent
+    /// branch (the select compiles to a cmov), so the branch predictor
+    /// never trains on key order.
     #[inline]
     fn prefix_probe(blk: &Blk<K, V>, n: usize, key: &K) -> Option<usize> {
         let (mut base, mut size) = (0usize, n);
@@ -995,24 +994,6 @@ where
             size -= half;
         }
         (unsafe { blk.key_at(0) } <= *key).then_some(base)
-    }
-
-    /// SWAR-style rank probe (`--features swar-probe`): one data-
-    /// independent pass that *counts* prefix keys `<= key` instead of
-    /// halving. Every comparison result is consumed as an integer, so the
-    /// whole loop is branchless and, for machine-word keys, amenable to
-    /// SIMD auto-vectorization (the comparisons of a short prefix become
-    /// one packed-compare + popcount-style reduction). Wins over binary
-    /// search on small prefixes where the halving loop's serial
-    /// dependency chain dominates.
-    #[cfg(feature = "swar-probe")]
-    #[inline]
-    fn prefix_probe(blk: &Blk<K, V>, n: usize, key: &K) -> Option<usize> {
-        let mut rank = 0usize;
-        for i in 0..n {
-            rank += (unsafe { blk.key_at(i) } <= *key) as usize;
-        }
-        rank.checked_sub(1)
     }
 
     /// Index of the tombstoned slot holding exactly `(key, value)` under

@@ -31,7 +31,7 @@
 //! assert!(!h.contains(&7));
 //! ```
 
-use crate::batch::{BatchConfig, BatchExecutor, BatchOp, BatchOutcome, CombinerTarget};
+use crate::batch::{BatchExecutor, BatchOp, BatchOutcome, CombinerTarget};
 use crate::graph::{HintChain, NodePtr, NodeRef, NodeRefHint, RangeIter, SkipGraph};
 use crate::index::IndexRead;
 use crate::local::{BTreeLocalMap, LocalMap, RobinHoodMap};
@@ -47,10 +47,6 @@ use std::ptr::NonNull;
 /// NUMA-partitioned skip graph.
 pub struct LayeredMap<K, V> {
     shared: SkipGraph<K, V>,
-    /// Present when the map was built with [`LayeredMap::with_batching`]:
-    /// the per-socket flat-combining executor that [`CombiningHandle`]s
-    /// publish to.
-    batch: Option<BatchExecutor<K, V>>,
 }
 
 impl<K: Ord, V> LayeredMap<K, V> {
@@ -64,26 +60,7 @@ impl<K: Ord, V> LayeredMap<K, V> {
     {
         Self {
             shared: SkipGraph::new_hashed(config),
-            batch: None,
         }
-    }
-
-    /// Builds the map with the NUMA-local flat-combining executor attached
-    /// (`batch.threads()` must equal `config.num_threads`). Threads opt
-    /// into combining per handle via [`LayeredMap::register_combining`];
-    /// plain [`LayeredMap::register`] handles keep operating directly.
-    pub fn with_batching(config: GraphConfig, batch: BatchConfig) -> Self
-    where
-        K: Hash,
-    {
-        assert_eq!(
-            batch.threads(),
-            config.num_threads,
-            "batch config must cover exactly the registered threads"
-        );
-        let mut map = Self::new(config);
-        map.batch = Some(BatchExecutor::new(&batch));
-        map
     }
 
     /// The underlying shared structure.
@@ -184,27 +161,6 @@ impl<K: Ord, V> LayeredMap<K, V> {
             hash: RobinHoodMap::new(),
             rng: SmallRng::seed_from_u64(seed),
             ctx,
-        }
-    }
-
-    /// Registers the calling thread for *combined* execution: the returned
-    /// handle publishes every shared-structure operation to its socket's
-    /// flat-combining slot bank instead of executing it directly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the map was built without [`LayeredMap::with_batching`].
-    pub fn register_combining(&self, ctx: ThreadCtx) -> CombiningHandle<'_, K, V>
-    where
-        K: Hash + Clone,
-    {
-        let exec = self
-            .batch
-            .as_ref()
-            .expect("register_combining requires LayeredMap::with_batching");
-        CombiningHandle {
-            inner: self.register(ctx),
-            exec,
         }
     }
 }
@@ -1023,8 +979,8 @@ where
 }
 
 /// A per-thread handle that routes every shared-structure operation
-/// through the map's NUMA-local flat-combining executor (built with
-/// [`LayeredMap::with_batching`]). Single-key calls are one-element
+/// through a NUMA-local flat-combining executor (registered by
+/// [`crate::BatchedLayeredMap::register`]). Single-key calls are one-element
 /// batches; [`CombiningHandle::execute_batch`] publishes many operations
 /// at once, which is where combining pays off.
 ///
@@ -1033,8 +989,8 @@ where
 /// `should_index` policy as direct handles, and non-lazy removals leave
 /// the tombstoned predecessor hint (C3 mitigation).
 pub struct CombiningHandle<'m, K, V> {
-    inner: LayeredHandle<'m, K, V>,
-    exec: &'m BatchExecutor<K, V>,
+    pub(crate) inner: LayeredHandle<'m, K, V>,
+    pub(crate) exec: &'m BatchExecutor<K, V>,
 }
 
 impl<'m, K, V> CombiningHandle<'m, K, V>

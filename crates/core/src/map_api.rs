@@ -84,7 +84,7 @@ where
         Self: 'a;
 
     fn pin(&self, ctx: ThreadCtx) -> Self::Handle<'_> {
-        self.inner().register_combining(ctx)
+        self.register(ctx)
     }
 }
 
