@@ -25,7 +25,7 @@
 use crate::graph::NodeRef;
 use crate::layered::{CombiningHandle, LayeredMap};
 use crate::params::GraphConfig;
-use crate::sync::FacadeAtomicUsize;
+use crate::sync::{Backoff, FacadeAtomicUsize, Padded};
 use instrument::ThreadCtx;
 use std::cell::UnsafeCell;
 use std::hash::Hash;
@@ -127,11 +127,6 @@ impl BatchConfig {
         self.socket_of[t as usize]
     }
 }
-
-/// Pads to two cache lines (the common prefetcher granule), so slot states
-/// and the lease never false-share.
-#[repr(align(128))]
-struct Padded<T>(T);
 
 /// A structure the flat-combining executor can drive: anything that owns a
 /// thread context and can execute one key-sorted run of batch operations.
@@ -298,7 +293,7 @@ impl<K: Ord, V, O> BatchExecutor<K, V, O> {
         // Publish. The slot is ours while EMPTY.
         unsafe { *slot.req.get() = ops };
         slot.state.store(PENDING);
-        let mut spins = 0u32;
+        let mut backoff = Backoff::new();
         loop {
             if slot.state.load() == DONE {
                 let resp = unsafe { std::mem::take(&mut *slot.resp.get()) };
@@ -316,16 +311,8 @@ impl<K: Ord, V, O> BatchExecutor<K, V, O> {
                 bank.lease.0.store(0);
             } else {
                 // Another thread holds the lease and is combining on our
-                // behalf. Spin briefly for the fast handoff, then yield the
-                // OS thread on every iteration: when cores are
-                // oversubscribed a busy-waiting waiter steals the very
-                // quantum the combiner needs to finish the batch.
-                spins = spins.wrapping_add(1);
-                if spins < 16 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
+                // behalf.
+                backoff.snooze();
             }
         }
     }

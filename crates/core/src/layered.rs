@@ -731,53 +731,6 @@ where
         inserted
     }
 
-    /// Bulk remove: sorts `keys` ascending and executes the removals as a
-    /// single hint-chained run (see [`LayeredHandle::extend`]). Non-lazy
-    /// removals erase the exact hashtable mapping and leave a tombstoned
-    /// local-map hint to the surviving predecessor; lazy removals keep the
-    /// mappings (the node can be resurrected in place). Returns the number
-    /// of keys that were present.
-    pub fn remove_batch(&mut self, keys: &[K]) -> usize {
-        if keys.is_empty() {
-            return 0;
-        }
-        let mut sorted: Vec<&K> = keys.iter().collect();
-        sorted.sort();
-        let map = self.map;
-        let shared = &map.shared;
-        let lazy = self.lazy();
-        let mut chain = HintChain::new();
-        let mut removed = 0usize;
-        for key in sorted {
-            self.ctx.record_op();
-            let _pin = shared.pin(&self.ctx);
-            if shared.remove_with_hint(key, None, &mut chain, &self.ctx) {
-                removed += 1;
-                if !lazy {
-                    self.erase_local(key);
-                    if let Some(p) = chain.last_pred() {
-                        self.tombstone_local(key, p);
-                    }
-                }
-            }
-        }
-        self.ctx.record_batch(keys.len() as u64);
-        removed
-    }
-
-    /// Executes one operation of a combined sorted run on behalf of the
-    /// flat-combining executor (this handle is the *combiner*). The search
-    /// starts from the further of the run's chain frontier and this
-    /// thread's local-map predecessor (`prev_start`) — the local maps, not
-    /// the graph's `≈ log2(threads)` levels, provide the long jump, so a
-    /// combined run without them would walk every key gap at the top level.
-    ///
-    /// The combiner also maintains *its own* local structures: fresh nodes
-    /// it allocates carry its membership vector and are indexed under the
-    /// usual policy (warming future combined runs), and removals erase/
-    /// tombstone exactly like [`LayeredHandle::remove_batch`]. The
-    /// submitting thread separately refreshes its structures from the
-    /// returned outcome.
     /// Indexes a combined-run node into this handle's local structures,
     /// skipping work when the hashtable already maps the key to the same
     /// node (hot keys re-execute constantly under combining; re-inserting
@@ -806,6 +759,20 @@ where
         self.map.shared.index_publish_run(run, &self.ctx);
     }
 
+    /// Executes one operation of a combined sorted run on behalf of the
+    /// flat-combining executor (this handle is the *combiner*). The search
+    /// starts from the further of the run's chain frontier and this
+    /// thread's local-map predecessor (`prev_start`) — the local maps, not
+    /// the graph's `≈ log2(threads)` levels, provide the long jump, so a
+    /// combined run without them would walk every key gap at the top level.
+    ///
+    /// The combiner also maintains *its own* local structures: fresh nodes
+    /// it allocates carry its membership vector and are indexed under the
+    /// usual policy (warming future combined runs), and non-lazy removals
+    /// erase the key's mappings and tombstone a hint to the surviving
+    /// predecessor, as [`LayeredHandle::remove`] does. The
+    /// submitting thread separately refreshes its structures from the
+    /// returned outcome.
     pub(crate) fn combined_op(
         &mut self,
         op: BatchOp<K, V>,

@@ -62,7 +62,11 @@
 //! word** (`generation << 2 | mode`) that every operation validates like
 //! a generation tag:
 //!
-//! * **Replicated** (mode 0): the protocol above, verbatim.
+//! * **Replicated** (mode 0): the protocol above. A map built without
+//!   `adapt` is this same epoch-validated protocol pinned at mode 0: it
+//!   has no sensor, so nothing ever moves its epoch, and its only extra
+//!   cost is one epoch-word load per operation, one revalidating load
+//!   per write claim and one per read-wait iteration.
 //! * **Single** (mode 2): writes still append to their key's log (the
 //!   total order must survive the mode switch) but carry home replica 0,
 //!   and *only replica 0 drains* — one apply per write, no fan-out.
@@ -98,17 +102,13 @@ use crate::graph::{HintChain, NodeRef};
 use crate::layered::{LayeredHandle, LayeredMap};
 use crate::mvec::list_suffix;
 use crate::params::GraphConfig;
-use crate::sync::FacadeAtomicUsize;
+use crate::sync::{Backoff, FacadeAtomicUsize, Padded};
 use instrument::{CounterWindow, ThreadCtx};
 use std::cell::UnsafeCell;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
-
-/// Pads to two cache lines so the log head, the per-replica tails, and the
-/// replay leases never false-share.
-#[repr(align(128))]
-struct Padded<T>(T);
 
 /// Epoch-word modes (low two bits; the rest is the generation). The bit
 /// layout is load-bearing: bit 1 set ⇔ reads go straight to replica 0
@@ -277,9 +277,11 @@ impl ReplicaConfig {
 
     /// Enables adaptive replication (see the module docs): the map
     /// senses its write ratio and switches between the replicated and
-    /// single-structure regimes through the epoch protocol. `None` (the
-    /// default) keeps the static replicated protocol with zero added
-    /// coordination accesses.
+    /// single-structure regimes through the epoch protocol. Without it
+    /// (the default) the map runs the same protocol pinned at the
+    /// replicated mode: no sensor, no transitions, and the epoch word is
+    /// only ever read (once per operation, once more per write claim and
+    /// per read-wait iteration).
     pub fn adapt(mut self, cfg: AdaptConfig) -> Self {
         self.adapt = Some(cfg);
         self
@@ -392,9 +394,9 @@ pub struct ReplicatedLayeredMap<K, V> {
     /// `log2(logs)` — the membership-vector level whose list families key
     /// the log partition.
     log_level: u8,
-    /// Adaptive-replication epoch word, `generation << 2 | mode` (see
-    /// the module docs). Never touched when `adapt` is `None`, so the
-    /// static protocol keeps its exact facade-access sequence.
+    /// Replication epoch word, `generation << 2 | mode` (see the module
+    /// docs). Every operation validates against it; without `adapt` it
+    /// stays at generation 0, `MODE_REPLICATED`, for the map's lifetime.
     epoch: Padded<FacadeAtomicUsize>,
     adapt: Option<AdaptState>,
 }
@@ -518,7 +520,6 @@ impl<K: Ord + Hash + Clone, V> ReplicatedLayeredMap<K, V> {
             map: self,
             socket,
             tid: tid as usize,
-            adaptive: self.adapt.is_some(),
             handles,
         }
     }
@@ -540,10 +541,6 @@ pub struct ReplicatedHandle<'m, K, V> {
     map: &'m ReplicatedLayeredMap<K, V>,
     socket: usize,
     tid: usize,
-    /// Cached `map.adapt.is_some()`: a plain field, so the static
-    /// protocol's paths branch on it without any facade access and keep
-    /// their det-schedule yield alignment untouched.
-    adaptive: bool,
     handles: Vec<LayeredHandle<'m, K, V>>,
 }
 
@@ -581,22 +578,7 @@ where
     /// completed operation is already applied there (see the module
     /// docs' transition argument).
     pub fn contains(&mut self, key: &K) -> bool {
-        if self.adaptive {
-            self.sense(false);
-            loop {
-                let epoch = self.map.epoch.0.load();
-                if single_class(epoch) {
-                    return self.handles[0].contains(key);
-                }
-                let li = self.map.log_of(key);
-                if self.wait_local_valid(li, epoch) {
-                    return self.handles[self.socket].contains(key);
-                }
-            }
-        }
-        let li = self.map.log_of(key);
-        self.catch_up_for_read(li);
-        self.handles[self.socket].contains(key)
+        self.read(key, |h, k| h.contains(k))
     }
 
     /// Point lookup served by the socket-local replica (see
@@ -612,22 +594,29 @@ where
     /// need cross-socket value agreement should keep values immutable
     /// per key or key them by version.
     pub fn get(&mut self, key: &K) -> Option<V> {
-        if self.adaptive {
-            self.sense(false);
-            loop {
-                let epoch = self.map.epoch.0.load();
-                if single_class(epoch) {
-                    return self.handles[0].get(key);
-                }
-                let li = self.map.log_of(key);
-                if self.wait_local_valid(li, epoch) {
-                    return self.handles[self.socket].get(key);
-                }
+        self.read(key, |h, k| h.get(k))
+    }
+
+    /// Runs `lookup` on the replica the current epoch routes reads to:
+    /// replica 0 in single-class epochs, otherwise the local replica once
+    /// [`Self::wait_local_valid`] caught it up (restarting if the epoch
+    /// moved meanwhile).
+    fn read<R>(
+        &mut self,
+        key: &K,
+        lookup: impl FnOnce(&mut LayeredHandle<'m, K, V>, &K) -> R,
+    ) -> R {
+        self.sense(false);
+        let li = self.map.log_of(key);
+        loop {
+            let epoch = self.map.epoch.0.load();
+            if single_class(epoch) {
+                return lookup(&mut self.handles[0], key);
+            }
+            if self.wait_local_valid(li, epoch) {
+                return lookup(&mut self.handles[self.socket], key);
             }
         }
-        let li = self.map.log_of(key);
-        self.catch_up_for_read(li);
-        self.handles[self.socket].get(key)
     }
 
     /// Catches this thread's socket replica up to the head of *every*
@@ -636,127 +625,33 @@ where
     /// once after a bulk load so the replay debt is not paid inside a
     /// measured (or latency-sensitive) read path.
     pub fn sync(&mut self) {
-        if self.adaptive {
-            'epoch: loop {
-                let epoch = self.map.epoch.0.load();
-                if single_class(epoch) {
-                    // Replica 0 is synchronously maintained by every
-                    // completed single-mode write; nothing to replay.
-                    return;
-                }
-                for li in 0..self.map.logs.len() {
-                    if !self.wait_local_valid(li, epoch) {
-                        continue 'epoch;
-                    }
-                }
+        'epoch: loop {
+            let epoch = self.map.epoch.0.load();
+            if single_class(epoch) {
+                // Replica 0 is synchronously maintained by every
+                // completed single-mode write; nothing to replay.
                 return;
             }
-        }
-        for li in 0..self.map.logs.len() {
-            self.catch_up_for_read(li);
+            for li in 0..self.map.logs.len() {
+                if !self.wait_local_valid(li, epoch) {
+                    continue 'epoch;
+                }
+            }
+            return;
         }
     }
 
     /// Appends `op` to its key's log and waits (helping) until the home
     /// replica applied it; returns the operation's set-semantics outcome.
+    ///
+    /// The slot is claimed under a validated epoch, homing the op at
+    /// replica 0 in single-class epochs; a claim that straddles a
+    /// transition is poisoned and retried. The result wait always helps
+    /// the *captured* home's lease — in single mode every writer
+    /// self-serves replica 0, and under the injected severed drain a
+    /// stranded replicated-era writer still self-serves its own replica
+    /// instead of hanging.
     fn update(&mut self, op: BatchOp<K, V>) -> bool {
-        if self.adaptive {
-            return self.update_adaptive(op);
-        }
-        let map = self.map;
-        let li = map.log_of(op.key());
-        let log = &map.logs[li];
-        self.ctx().record_op();
-        // Claim a slot, lag-bounded: while the slowest replica trails by
-        // max_lag (<= capacity), help it drain instead of growing the
-        // backlog — this is also what makes slot reuse safe, since a
-        // claimed position implies every tail passed its previous
-        // occupant.
-        let mut spins = 0u32;
-        let pos = loop {
-            // `min` before `head`: tails never pass the head and the head
-            // only grows, so this order guarantees `min <= head` (the
-            // reverse order could observe a tail that advanced past a
-            // stale head). A stale-low `min` merely overestimates the lag.
-            let min = log.min_tail();
-            let head = log.head.0.load();
-            if head - min >= map.rcfg.max_lag {
-                let lagger = log.laggiest();
-                self.try_replay(li, lagger);
-                // The lagger's lease may be held by a descheduled thread:
-                // try_replay then returns immediately, so back off the
-                // same way the result-wait and catch-up loops do instead
-                // of starving the holder on oversubscribed cores.
-                spins = spins.wrapping_add(1);
-                if spins < 16 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-                continue;
-            }
-            if log.head.0.compare_exchange(head, head + 1).is_ok() {
-                self.ctx().record_log_append((head - min) as u64);
-                break head;
-            }
-        };
-        let slot = &log.slots[pos & log.mask];
-        // Exclusive: all appliers finished the previous occupant (tails
-        // passed it) before `pos` could be claimed.
-        unsafe { *slot.op.get() = Some(Pending { home: self.socket, op }) };
-        slot.seq.store(pos + 1);
-        // Read-your-writes: wait for the home replica's applier to publish
-        // this op's outcome, replaying the home replica ourselves whenever
-        // its lease is free. Spin briefly for the fast handoff, then yield
-        // the OS thread (as the combiner's waiters do): on oversubscribed
-        // cores a busy-waiting writer steals the very quantum the lease
-        // holder needs to finish draining.
-        let mut spins = 0u32;
-        loop {
-            let r = slot.result.load();
-            if r >> 1 == pos + 1 {
-                slot.result.store(0); // consume-ack frees the slot's result
-                return r & 1 == 1;
-            }
-            // Help replay the home replica — but take the lease inline and
-            // re-check our own result *after* winning it, before draining.
-            // This closes a self-deadlock: our result may already be
-            // published (a remote drain advanced the home tail past `pos`
-            // after the stale load above), and once every tail passes
-            // `pos` the slot can be reclaimed by a new occupant a full
-            // wrap later. If that occupant is also homed here, drain's
-            // publish would spin on `slot.result == 0` waiting for a
-            // consume only we can perform — while we sit inside drain.
-            // Consuming first makes that wait impossible for us, and while
-            // we hold the home lease nobody else can publish our result,
-            // so the pre-drain check cannot go stale.
-            if log.leases[self.socket].0.compare_exchange(0, self.tid + 1).is_ok() {
-                let r = slot.result.load();
-                if r >> 1 == pos + 1 {
-                    slot.result.store(0);
-                    log.leases[self.socket].0.store(0);
-                    return r & 1 == 1;
-                }
-                self.drain(li, self.socket);
-                log.leases[self.socket].0.store(0);
-            }
-            spins = spins.wrapping_add(1);
-            if spins < 16 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-    }
-
-    /// The adaptive append path: claims a slot under a validated epoch,
-    /// homing the op at replica 0 in single-class epochs; a claim that
-    /// straddles a transition is poisoned and retried. The result wait
-    /// always helps the *captured* home's lease — in single mode every
-    /// writer self-serves replica 0, and under the injected severed
-    /// drain a stranded replicated-era writer still self-serves its own
-    /// replica instead of hanging.
-    fn update_adaptive(&mut self, op: BatchOp<K, V>) -> bool {
         self.sense(true);
         let map = self.map;
         let li = map.log_of(op.key());
@@ -766,20 +661,24 @@ where
             // Claim, lag-bounded against the tails that still gate slot
             // reuse in the current epoch: every tail when replicated
             // (and down-draining), replica 0's alone once single-class —
-            // retired tails stop moving and would freeze the log.
-            let mut spins = 0u32;
+            // retired tails stop moving and would freeze the log. While
+            // the slowest gating replica trails by max_lag (<= capacity),
+            // help it drain instead of growing the backlog — this is also
+            // what makes slot reuse safe, since a claimed position implies
+            // every gating tail passed its previous occupant.
+            let mut backoff = Backoff::new();
             let (pos, epoch) = loop {
                 let epoch = map.epoch.0.load();
                 if transitional(epoch) {
                     // A transition is redirecting the log; wait it out.
-                    spins = spins.wrapping_add(1);
-                    if spins < 16 {
-                        std::hint::spin_loop();
-                    } else {
-                        std::thread::yield_now();
-                    }
+                    backoff.snooze();
                     continue;
                 }
+                // `min` before `head`: tails never pass the head and the
+                // head only grows, so this order guarantees `min <= head`
+                // (the reverse order could observe a tail that advanced
+                // past a stale head). A stale-low `min` merely
+                // overestimates the lag.
                 let min = if single_class(epoch) {
                     log.tails[0].0.load()
                 } else {
@@ -788,13 +687,11 @@ where
                 let head = log.head.0.load();
                 if head - min >= map.rcfg.max_lag {
                     let target = if single_class(epoch) { 0 } else { log.laggiest() };
+                    // The target's lease may be held by a descheduled
+                    // thread: try_replay then returns immediately, so back
+                    // off instead of starving the holder.
                     self.try_replay(li, target);
-                    spins = spins.wrapping_add(1);
-                    if spins < 16 {
-                        std::hint::spin_loop();
-                    } else {
-                        std::thread::yield_now();
-                    }
+                    backoff.snooze();
                     continue;
                 }
                 if log.head.0.compare_exchange(head, head + 1).is_ok() {
@@ -808,7 +705,9 @@ where
             // and here: the home decision below could disagree with who
             // drains in the new epoch, so stamp the slot poisoned (seq
             // must advance — drains spin on it) and retry under the new
-            // epoch. Generations make the comparison ABA-proof.
+            // epoch. Generations make the comparison ABA-proof. The slot
+            // is exclusive: all appliers finished its previous occupant
+            // (gating tails passed it) before `pos` could be claimed.
             if map.epoch.0.load() != epoch {
                 unsafe {
                     *slot.op.get() = Some(Pending { home: POISON_HOME, op: op.clone() })
@@ -817,17 +716,31 @@ where
                 continue;
             }
             let home = if single_class(epoch) { 0 } else { self.socket };
-            unsafe { *slot.op.get() = Some(Pending { home, op: op.clone() }) };
+            unsafe { *slot.op.get() = Some(Pending { home, op }) };
             slot.seq.store(pos + 1);
-            // Result wait with the same inline-lease self-consume as the
-            // static path (see `update` for the self-deadlock argument).
-            let mut spins = 0u32;
+            // Read-your-writes: wait for the home replica's applier to
+            // publish this op's outcome, replaying the home replica
+            // ourselves whenever its lease is free.
+            let mut backoff = Backoff::new();
             loop {
                 let r = slot.result.load();
                 if r >> 1 == pos + 1 {
-                    slot.result.store(0);
+                    slot.result.store(0); // consume-ack frees the slot's result
                     return r & 1 == 1;
                 }
+                // Help replay the home replica — but take the lease inline
+                // and re-check our own result *after* winning it, before
+                // draining. This closes a self-deadlock: our result may
+                // already be published (a remote drain advanced the home
+                // tail past `pos` after the stale load above), and once
+                // every tail passes `pos` the slot can be reclaimed by a
+                // new occupant a full wrap later. If that occupant is also
+                // homed here, drain's publish would spin on
+                // `slot.result == 0` waiting for a consume only we can
+                // perform — while we sit inside drain. Consuming first
+                // makes that wait impossible for us, and while we hold the
+                // home lease nobody else can publish our result, so the
+                // pre-drain check cannot go stale.
                 if log.leases[home].0.compare_exchange(0, self.tid + 1).is_ok() {
                     let r = slot.result.load();
                     if r >> 1 == pos + 1 {
@@ -838,37 +751,41 @@ where
                     self.drain(li, home);
                     log.leases[home].0.store(0);
                 }
-                spins = spins.wrapping_add(1);
-                if spins < 16 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
+                backoff.snooze();
             }
         }
     }
 
-    /// The replicated-class read wait, epoch-validated: waits for the
-    /// local tail to pass the mapped log's head as `catch_up_for_read`
-    /// does, but re-checks the epoch word on every wait iteration and
-    /// returns `false` (restart the read) the moment it moves — the
-    /// local replica may be retiring, and the single-class path must
-    /// take over.
+    /// NR read rule, epoch-validated: load the mapped log's head once,
+    /// and if the local replica's tail trails it, replay (or wait on
+    /// whoever holds the lease) until the tail passes it — one shared
+    /// head load per read; the traversal itself never leaves the socket.
+    /// The epoch word is re-checked on every wait iteration, returning
+    /// `false` (restart the read) the moment it moves: the local replica
+    /// may be retiring, and the single-class path must take over. A map
+    /// without `adapt` never moves its epoch, so this always returns
+    /// `true` there.
     fn wait_local_valid(&mut self, li: usize, epoch: usize) -> bool {
         let log = &self.map.logs[li];
         let head = log.head.0.load();
-        let mut spins = 0u32;
+        // Injected bug (`--features bug-injection`, maps without `adapt`
+        // only): sever the tail-wait, serving the read from whatever
+        // prefix the local replica happens to have applied. A completed
+        // remote write (or a fresher read on another socket) is then
+        // invisible here — a stale read the `replicated_sg` det stress
+        // lane catches and shrinks. Adaptive maps keep the wait, so the
+        // `adaptive_sg` lane's only live fault is the severed downshift
+        // drain.
+        if cfg!(feature = "bug-injection") && self.map.adapt.is_none() {
+            return true;
+        }
+        let mut backoff = Backoff::new();
         while log.tails[self.socket].0.load() < head {
             if self.map.epoch.0.load() != epoch {
                 return false;
             }
             self.try_replay(li, self.socket);
-            spins = spins.wrapping_add(1);
-            if spins < 16 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
+            backoff.snooze();
         }
         true
     }
@@ -927,7 +844,7 @@ where
         // drain that log — a non-linearizable read window the adaptive
         // det stress lane catches and shrinks.
         #[cfg(not(feature = "bug-injection"))]
-        self.drain_all_until_stable();
+        self.drain_until_stable(0..map.replicas.len());
         map.epoch.0.store((epoch & !MODE_MASK) + 4 + MODE_SINGLE);
         let ad = map.adapt.as_ref().expect("downshift is adaptive-only");
         ad.downshifts.fetch_add(1, Relaxed);
@@ -955,26 +872,7 @@ where
         {
             return;
         }
-        let mut spins = 0u32;
-        loop {
-            let mut stable = true;
-            for li in 0..map.logs.len() {
-                let log = &map.logs[li];
-                if log.tails[0].0.load() < log.head.0.load() {
-                    stable = false;
-                    self.try_replay(li, 0);
-                }
-            }
-            if stable {
-                break;
-            }
-            spins = spins.wrapping_add(1);
-            if spins < 16 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
+        self.drain_until_stable(0..1);
         // Snap the retired tails *before* the snapshots: every op past
         // replica 0's applied prefix replays into the rebuilt replicas
         // through the normal post-flip drains, and replaying ops the
@@ -1039,20 +937,19 @@ where
         ad.upshifts.fetch_add(1, Relaxed);
     }
 
-    /// Drains every `(log, replica)` pair until all tails meet their
-    /// heads. Terminates under the down-drain epoch: claims straddling
-    /// the transition poison themselves and retry into the transitional
-    /// wait, so each thread adds at most one slot after the mode
-    /// publish.
-    #[cfg_attr(feature = "bug-injection", allow(dead_code))]
-    fn drain_all_until_stable(&mut self) {
+    /// Drains every log into each replica of `replicas` until their
+    /// tails meet the heads. Terminates under a transitional epoch:
+    /// claims straddling the transition poison themselves and retry into
+    /// the transitional wait, so each thread adds at most one slot after
+    /// the mode publish.
+    fn drain_until_stable(&mut self, replicas: Range<usize>) {
         let map = self.map;
-        let mut spins = 0u32;
+        let mut backoff = Backoff::new();
         loop {
             let mut stable = true;
             for li in 0..map.logs.len() {
                 let log = &map.logs[li];
-                for r in 0..map.replicas.len() {
+                for r in replicas.clone() {
                     if log.tails[r].0.load() < log.head.0.load() {
                         stable = false;
                         self.try_replay(li, r);
@@ -1062,46 +959,7 @@ where
             if stable {
                 return;
             }
-            spins = spins.wrapping_add(1);
-            if spins < 16 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-    }
-
-    /// NR read rule: load the mapped log's head once, and if the local
-    /// replica's tail trails it, replay (or wait on whoever holds the
-    /// lease) until the tail passes it. One shared load per read — the
-    /// traversal itself never leaves the socket.
-    fn catch_up_for_read(&mut self, li: usize) {
-        let log = &self.map.logs[li];
-        let head = log.head.0.load();
-        // Injected bug (`--features bug-injection`): sever the tail-wait,
-        // serving the read from whatever prefix the local replica happens
-        // to have applied. A completed remote write (or a fresher read on
-        // another socket) is then invisible here — a stale read the
-        // deterministic stress wall catches and shrinks.
-        #[cfg(feature = "bug-injection")]
-        {
-            let _ = head;
-            return;
-        }
-        #[cfg_attr(feature = "bug-injection", allow(unreachable_code))]
-        {
-            let mut spins = 0u32;
-            while log.tails[self.socket].0.load() < head {
-                self.try_replay(li, self.socket);
-                spins = spins.wrapping_add(1);
-                if spins < 16 {
-                    std::hint::spin_loop();
-                } else {
-                    // The lease holder may be descheduled mid-drain; hand
-                    // it our quantum instead of burning it.
-                    std::thread::yield_now();
-                }
-            }
+            backoff.snooze();
         }
     }
 
@@ -1140,7 +998,7 @@ where
             // The claimer stamps seq right after writing the op; between
             // claim and stamp we spin (each facade load is a det yield),
             // yielding the OS thread once the claimer looks descheduled.
-            let mut spins = 0u32;
+            let mut backoff = Backoff::new();
             loop {
                 let seq = slot.seq.load();
                 if seq == pos + 1 {
@@ -1155,12 +1013,7 @@ where
                 if seq > pos + 1 {
                     return;
                 }
-                spins = spins.wrapping_add(1);
-                if spins < 16 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
+                backoff.snooze();
             }
             let p = unsafe { (*slot.op.get()).as_ref() }.expect("stamped slot holds an op");
             // Poisoned slots (a claim that straddled an epoch transition)
@@ -1193,14 +1046,9 @@ where
                 // pending consumer is a different, live thread in its
                 // own result-wait and this terminates — but it may be
                 // descheduled, so yield to it.
-                let mut spins = 0u32;
+                let mut backoff = Backoff::new();
                 while slot.result.load() != 0 {
-                    spins = spins.wrapping_add(1);
-                    if spins < 16 {
-                        std::hint::spin_loop();
-                    } else {
-                        std::thread::yield_now();
-                    }
+                    backoff.snooze();
                 }
                 slot.result.store(((pos + 1) << 1) | ok as usize);
             };

@@ -17,6 +17,10 @@
 //! atomic cell. All compare-and-swap operations work on full words, so the
 //! paper's `casMark` / `casValid` / `casMarkValid` / `casNext` are expressed
 //! as loads plus full-word CAS.
+//!
+//! The module also holds the coordination plumbing the blocking layers
+//! share: [`FacadeAtomicUsize`] (a plain word on the same facade),
+//! `Padded` and the wait loops' `Backoff`.
 
 use std::fmt;
 use std::marker::PhantomData;
@@ -293,6 +297,38 @@ impl FacadeAtomicUsize {
     pub fn swap_seq_cst(&self, v: usize) -> usize {
         facade_yield();
         self.cell.swap(v, Ordering::SeqCst)
+    }
+}
+
+/// Pads to two cache lines (the common prefetcher granule), so adjacent
+/// coordination words — log heads, tails, leases, slot states — never
+/// false-share.
+#[repr(align(128))]
+pub(crate) struct Padded<T>(pub(crate) T);
+
+/// Spin-then-yield backoff for the blocking layers' wait loops: spin
+/// briefly for the fast handoff, then yield the OS thread on every
+/// iteration — on oversubscribed cores a busy-waiting waiter steals the
+/// very quantum the lease holder needs to finish. Makes no facade-atomic
+/// access, so deterministic schedules see only the loop's own words.
+pub(crate) struct Backoff {
+    spins: u32,
+}
+
+impl Backoff {
+    pub(crate) const fn new() -> Self {
+        Self { spins: 0 }
+    }
+
+    /// One wait iteration's pause.
+    #[inline]
+    pub(crate) fn snooze(&mut self) {
+        self.spins = self.spins.wrapping_add(1);
+        if self.spins < 16 {
+            std::hint::spin_loop();
+        } else {
+            std::thread::yield_now();
+        }
     }
 }
 

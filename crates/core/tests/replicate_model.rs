@@ -26,20 +26,28 @@
 
 use instrument::ThreadCtx;
 use proptest::prelude::*;
-use skipgraph::{GraphConfig, ReplicaConfig, ReplicatedLayeredMap};
+use skipgraph::{AdaptConfig, GraphConfig, ReplicaConfig, ReplicatedLayeredMap};
 use std::collections::{BTreeMap, BTreeSet};
 
 fn replicated_reclaiming() -> ReplicatedLayeredMap<u64, u64> {
+    replicated_reclaiming_with(None)
+}
+
+fn replicated_reclaiming_with(adapt: Option<AdaptConfig>) -> ReplicatedLayeredMap<u64, u64> {
     // Three thread slots: two handles on two sockets plus a flusher ctx.
     // The 16-slot log with a lag bound of 12 wraps every few operations,
     // keeping the backpressure and slot-reuse paths hot.
+    let rcfg = ReplicaConfig::uniform(2, 2).logs(2).log_capacity(16).max_lag(12);
     ReplicatedLayeredMap::new(
         GraphConfig::new(3)
             .lazy(true)
             .hash_index(true)
             .reclaim(true)
             .chunk_capacity(256),
-        ReplicaConfig::uniform(2, 2).logs(2).log_capacity(16).max_lag(12),
+        match adapt {
+            Some(a) => rcfg.adapt(a),
+            None => rcfg,
+        },
     )
 }
 
@@ -51,6 +59,10 @@ proptest! {
     /// updates appended on one socket are read back through the other
     /// socket's replica (the NR read rule under test), with reclamation
     /// flushes recycling replayed nodes mid-sequence.
+    ///
+    /// Each sequence runs twice: on a map without `adapt`, and on an
+    /// adaptive map whose sensor window never closes — the same protocol
+    /// pinned at the replicated mode, which must never leave it.
     #[test]
     fn replicated_map_behaves_like_btreemap_across_sockets(
         ops in proptest::collection::vec(
@@ -58,63 +70,84 @@ proptest! {
             1..300,
         ),
     ) {
-        let map = replicated_reclaiming();
-        let mut h0 = map.register(ThreadCtx::plain(0));
-        let mut h1 = map.register(ThreadCtx::plain(1));
-        prop_assert!(h0.socket() != h1.socket(), "handles share a socket");
-        let mut model: BTreeSet<u64> = BTreeSet::new();
-        // Every value a successful insert ever supplied for a key: the
-        // only values any replica may legally serve for it.
-        let mut legal: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
-        let flush_ctx = ThreadCtx::plain(2);
-        for (op, k, v, second) in ops {
-            // Sequential interleaving keeps the model exact while still
-            // routing every op through the full append/replay protocol.
-            let h = if second { &mut h1 } else { &mut h0 };
-            match op {
-                0 | 1 => {
-                    let expect = !model.contains(&k);
-                    prop_assert_eq!(h.insert(k, v), expect, "insert {}", k);
-                    if expect {
-                        model.insert(k);
-                        legal.entry(k).or_default().insert(v);
-                    }
+        for adapt in [None, Some(AdaptConfig::new().window_ops(u32::MAX))] {
+            let pinned = adapt.is_some();
+            let map = replicated_reclaiming_with(adapt);
+            differential_across_sockets(&map, &ops)?;
+            if pinned {
+                let s = map.adapt_state().expect("adaptive map reports its state");
+                prop_assert_eq!(s.mode, "replicated");
+                prop_assert_eq!(s.generation, 0);
+                prop_assert_eq!((s.downshifts, s.upshifts), (0, 0));
+            } else {
+                prop_assert!(map.adapt_state().is_none());
+            }
+        }
+    }
+}
+
+/// The body of the cross-socket differential: runs `ops` through two
+/// handles on different sockets of `map` against a `BTreeSet` model.
+fn differential_across_sockets(
+    map: &ReplicatedLayeredMap<u64, u64>,
+    ops: &[(u8, u64, u64, bool)],
+) -> Result<(), TestCaseError> {
+    let mut h0 = map.register(ThreadCtx::plain(0));
+    let mut h1 = map.register(ThreadCtx::plain(1));
+    prop_assert!(h0.socket() != h1.socket(), "handles share a socket");
+    let mut model: BTreeSet<u64> = BTreeSet::new();
+    // Every value a successful insert ever supplied for a key: the
+    // only values any replica may legally serve for it.
+    let mut legal: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
+    let flush_ctx = ThreadCtx::plain(2);
+    for &(op, k, v, second) in ops {
+        // Sequential interleaving keeps the model exact while still
+        // routing every op through the full append/replay protocol.
+        let h = if second { &mut h1 } else { &mut h0 };
+        match op {
+            0 | 1 => {
+                let expect = !model.contains(&k);
+                prop_assert_eq!(h.insert(k, v), expect, "insert {}", k);
+                if expect {
+                    model.insert(k);
+                    legal.entry(k).or_default().insert(v);
                 }
-                2 | 3 => prop_assert_eq!(h.remove(&k), model.remove(&k), "remove {}", k),
-                4 | 5 => {
-                    let got = h.get(&k);
-                    prop_assert_eq!(got.is_some(), model.contains(&k), "get {}", k);
-                    if let Some(v) = got {
-                        prop_assert!(
-                            legal.get(&k).is_some_and(|s| s.contains(&v)),
-                            "get {} served value {} no insert supplied", k, v
-                        );
-                    }
+            }
+            2 | 3 => prop_assert_eq!(h.remove(&k), model.remove(&k), "remove {}", k),
+            4 | 5 => {
+                let got = h.get(&k);
+                prop_assert_eq!(got.is_some(), model.contains(&k), "get {}", k);
+                if let Some(v) = got {
+                    prop_assert!(
+                        legal.get(&k).is_some_and(|s| s.contains(&v)),
+                        "get {} served value {} no insert supplied", k, v
+                    );
                 }
-                6 => prop_assert_eq!(h.contains(&k), model.contains(&k), "contains {}", k),
-                _ => {
-                    // Retire-and-recycle on both replicas: replayed
-                    // removals are flushed through the grace-period
-                    // protocol while the other replica may still hold
-                    // unapplied log entries for the same keys.
-                    for replica in map.replicas() {
-                        replica.shared().reclaim_flush(&flush_ctx);
-                    }
+            }
+            6 => prop_assert_eq!(h.contains(&k), model.contains(&k), "contains {}", k),
+            _ => {
+                // Retire-and-recycle on both replicas: replayed
+                // removals are flushed through the grace-period
+                // protocol while the other replica may still hold
+                // unapplied log entries for the same keys.
+                for replica in map.replicas() {
+                    replica.shared().reclaim_flush(&flush_ctx);
                 }
             }
         }
-        // Final sweep through both sockets: each replica must agree with
-        // the model key for key (divergence would surface on whichever
-        // socket applied the losing history).
-        for k in 0..32u64 {
-            prop_assert_eq!(
-                h0.contains(&k), model.contains(&k), "final contains {} via socket 0", k
-            );
-            prop_assert_eq!(
-                h1.contains(&k), model.contains(&k), "final contains {} via socket 1", k
-            );
-        }
     }
+    // Final sweep through both sockets: each replica must agree with
+    // the model key for key (divergence would surface on whichever
+    // socket applied the losing history).
+    for k in 0..32u64 {
+        prop_assert_eq!(
+            h0.contains(&k), model.contains(&k), "final contains {} via socket 0", k
+        );
+        prop_assert_eq!(
+            h1.contains(&k), model.contains(&k), "final contains {} via socket 1", k
+        );
+    }
+    Ok(())
 }
 
 /// Replay-batch compaction: a replica that drains a batch holding

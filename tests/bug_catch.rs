@@ -145,11 +145,12 @@ fn injected_stale_index_read_is_caught_and_shrunk() {
 
 #[test]
 fn injected_stale_replica_read_is_caught_and_shrunk() {
-    // The replication layer's injected fault: `catch_up_for_read` loads
-    // the mapped log's head and then returns without waiting for the
-    // local replica's tail to pass it — the NR read rule severed. Writes
-    // still linearize (every result is computed in log order on the home
-    // replica), so only reads can lie: a thread whose socket has no
+    // The replication layer's injected fault: on a map without `adapt`,
+    // `wait_local_valid` loads the mapped log's head and then returns
+    // without waiting for the local replica's tail to pass it — the NR
+    // read rule severed. Writes still linearize (every result is computed
+    // in log order on the home replica), so only reads can lie: a thread
+    // whose socket has no
     // pending write of its own serves `contains` from whatever prefix
     // its replica happens to have applied, missing updates (or even the
     // preload) already completed through the log. Three threads on two
